@@ -9,12 +9,15 @@
 // pairs, and the JSON records per-round reuse fractions so regressions in
 // the reuse rate are visible, not just wall time.
 //
-// With --threads N (N > 1) every scenario is additionally timed through
-// the speculative parallel router (route_threads = N on a shared
-// ThreadPool). The parallel result is verified bit-identical to the
-// reference too, and the JSON gains a "parallel" object per config
-// (seconds, speedup over the serial incremental core, speculation
-// counters) plus top-level parallel geomeans.
+// With --threads N (N > 1) it also times cold synthesize_dcsa jobs on
+// every paper benchmark, routing the SA candidates' fixpoints
+// route_threads = N at once on an N-thread pool against route_threads =
+// 1, with the SA restarts parallel on both sides (best of kJobReps
+// interleaved runs). The two results must be byte-identical apart from
+// their wall-clock fields; the JSON gains a "candidate_jobs" section with
+// per-job and geomean job and route-stage speedups. The route stage is
+// the job wall time minus the schedule, refine and place stages, so it
+// is wall time on both sides.
 //
 //   build/bench/flow_perf [--json-out FILE] [--threads N]
 
@@ -25,7 +28,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -33,9 +35,11 @@
 
 #include "bench_suite/benchmarks.hpp"
 #include "core/flow_core.hpp"
+#include "core/synthesis.hpp"
 #include "place/constructive_placer.hpp"
 #include "place/sa_placer.hpp"
 #include "report/table.hpp"
+#include "runtime/result_io.hpp"
 #include "runtime/thread_pool.hpp"
 #include "schedule/list_scheduler.hpp"
 #include "util/strings.hpp"
@@ -46,6 +50,7 @@ using namespace fbmb;
 using Clock = std::chrono::steady_clock;
 
 constexpr int kReps = 15;
+constexpr int kJobReps = 15;
 
 struct Scenario {
   std::string name;
@@ -123,6 +128,114 @@ std::string num(double v) {
   return buf;
 }
 
+struct JobRun {
+  std::string json;  ///< result JSON with the wall-clock fields zeroed
+  double seconds = 0.0;        ///< best-of-kJobReps job wall time
+  double route_seconds = 0.0;  ///< route stage wall time of that run
+};
+
+/// One timed cold synthesize_dcsa job; keeps the fastest run.
+void time_job(const Benchmark& bench, const SynthesisOptions& options,
+              int rep, JobRun& best) {
+  SynthesisResult result = synthesize_dcsa(
+      bench.graph, Allocation(bench.allocation), bench.wash, options);
+  const StageTimes& st = result.stage_seconds;
+  const double seconds = result.cpu_seconds;
+  if (rep == 0 || seconds < best.seconds) {
+    best.seconds = seconds;
+    best.route_seconds = seconds - st.schedule - st.refine - st.place;
+  }
+  if (rep == 0) {
+    result.cpu_seconds = 0.0;
+    result.stage_seconds = StageTimes{};
+    best.json = synthesis_result_to_json(result);
+  }
+}
+
+double geometric_mean(const std::vector<double>& values) {
+  if (values.empty()) return 0.0;
+  double log_sum = 0.0;
+  for (const double v : values) log_sum += std::log(v);
+  return std::exp(log_sum / static_cast<double>(values.size()));
+}
+
+/// Cold synthesize_dcsa jobs, route_threads = `threads` vs 1, SA restarts
+/// parallel on both sides. Appends the "candidate_jobs" JSON section and
+/// returns false on any non-identical result.
+bool run_candidate_jobs(int threads, std::ostringstream& json) {
+  ThreadPool pool(static_cast<std::size_t>(threads));
+  const auto on_pool = [&pool](std::vector<std::function<void()>>& tasks) {
+    parallel_invoke(pool, tasks);
+  };
+  SynthesisOptions serial;
+  serial.placer.restart_executor = on_pool;
+  SynthesisOptions parallel = serial;
+  parallel.router.route_threads = threads;
+  parallel.router.route_executor = on_pool;
+
+  TextTable table({"Job", "Serial (ms)", "Par (ms)", "Job spd",
+                   "Route ser", "Route par", "Route spd"},
+                  {Align::kLeft, Align::kRight, Align::kRight, Align::kRight,
+                   Align::kRight, Align::kRight, Align::kRight});
+  std::vector<double> job_speedups;
+  std::vector<double> route_speedups;
+  bool all_identical = true;
+  json << ", \"candidate_jobs\": {\"threads\": " << threads
+       << ", \"host_cores\": " << std::thread::hardware_concurrency()
+       << ", \"reps\": " << kJobReps << ", \"jobs\": [";
+  bool first = true;
+  for (const Benchmark& bench : paper_benchmarks()) {
+    JobRun ser;
+    JobRun par;
+    for (int rep = 0; rep < kJobReps; ++rep) {
+      time_job(bench, serial, rep, ser);
+      time_job(bench, parallel, rep, par);
+    }
+    const bool identical = ser.json == par.json;
+    if (!identical) {
+      all_identical = false;
+      std::cerr << "MISMATCH: " << bench.name << "/dcsa: route_threads = "
+                << threads << " differs from route_threads = 1\n";
+    }
+    const double job_speedup = ser.seconds / par.seconds;
+    const double route_speedup = ser.route_seconds / par.route_seconds;
+    job_speedups.push_back(job_speedup);
+    route_speedups.push_back(route_speedup);
+    table.add_row({bench.name + "/dcsa", format_double(ser.seconds * 1e3, 2),
+                   format_double(par.seconds * 1e3, 2),
+                   format_double(job_speedup, 2),
+                   format_double(ser.route_seconds * 1e3, 2),
+                   format_double(par.route_seconds * 1e3, 2),
+                   format_double(route_speedup, 2)});
+    json << (first ? "" : ",") << "\n    {\"name\": \"" << bench.name
+         << "/dcsa\", \"serial_seconds\": " << num(ser.seconds)
+         << ", \"parallel_seconds\": " << num(par.seconds)
+         << ", \"job_speedup\": " << num(job_speedup)
+         << ", \"serial_route_seconds\": " << num(ser.route_seconds)
+         << ", \"parallel_route_seconds\": " << num(par.route_seconds)
+         << ", \"route_speedup\": " << num(route_speedup)
+         << ", \"identical\": " << (identical ? "true" : "false") << "}";
+    first = false;
+  }
+  const double job_geomean = geometric_mean(job_speedups);
+  const double route_geomean = geometric_mean(route_speedups);
+  // host_cores lets the gate tell "candidate routing regressed" from
+  // "bench host cannot express parallelism".
+  json << "\n  ], \"geomean_job_speedup\": " << num(job_geomean)
+       << ", \"geomean_route_speedup\": " << num(route_geomean)
+       << ", \"identical\": " << (all_identical ? "true" : "false") << "}";
+
+  std::cout << "\nCOLD DCSA JOBS: SA candidates routed " << threads
+            << " at once vs serially\n(best of " << kJobReps
+            << " interleaved runs; SA restarts parallel on both sides; "
+               "results verified byte-identical)\n\n"
+            << table << "\nGeomean job speedup:   "
+            << format_double(job_geomean, 3)
+            << "\nGeomean route speedup: " << format_double(route_geomean, 3)
+            << "\n";
+  return all_identical;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -135,21 +248,11 @@ int main(int argc, char** argv) {
       threads = std::atoi(argv[++i]);
     }
   }
-  const bool parallel = threads > 1;
-  std::unique_ptr<ThreadPool> pool;
-  if (parallel) pool = std::make_unique<ThreadPool>(threads);
-
-  std::vector<std::string> headers = {"Scenario", "Tasks",    "Rounds",
-                                      "Ref (ms)", "Incr (ms)", "Speedup",
-                                      "Reused",   "Rerouted"};
-  std::vector<Align> aligns = {Align::kLeft,  Align::kRight, Align::kRight,
-                               Align::kRight, Align::kRight, Align::kRight,
-                               Align::kRight, Align::kRight};
-  if (parallel) {
-    headers.insert(headers.end(), {"Par (ms)", "ParSpd"});
-    aligns.insert(aligns.end(), {Align::kRight, Align::kRight});
-  }
-  TextTable table(headers, aligns);
+  TextTable table({"Scenario", "Tasks", "Rounds", "Ref (ms)", "Incr (ms)",
+                   "Speedup", "Reused", "Rerouted"},
+                  {Align::kLeft, Align::kRight, Align::kRight, Align::kRight,
+                   Align::kRight, Align::kRight, Align::kRight,
+                   Align::kRight});
 
   std::ostringstream json;
   json << "{\"reps\": " << kReps << ", \"benchmarks\": [";
@@ -164,25 +267,12 @@ int main(int argc, char** argv) {
   // single-round rows.
   double log_speedup_sum_multi = 0.0;
   int speedup_count_multi = 0;
-  double par_log_speedup_sum = 0.0;
-  int par_speedup_count = 0;
-  double par_log_speedup_sum_multi = 0.0;
-  int par_speedup_count_multi = 0;
 
   for (const auto& bench : paper_benchmarks()) {
     for (const Scenario& s :
          {prepare_dcsa(bench), prepare_baseline(bench)}) {
-      Scenario par_s = s;
-      if (parallel) {
-        par_s.router.route_threads = threads;
-        par_s.router.route_executor =
-            [&pool](std::vector<std::function<void()>>& tasks) {
-              parallel_invoke(*pool, tasks);
-            };
-      }
       FixpointRun incremental;
       FixpointRun reference;
-      FixpointRun par;
       for (int rep = 0; rep < kReps; ++rep) {
         time_rep(s, bench,
                  [](Schedule& schedule, const SequencingGraph& graph,
@@ -206,19 +296,6 @@ int main(int argc, char** argv) {
                        router, stages, {}, flow);
                  },
                  rep, reference);
-        if (parallel) {
-          time_rep(par_s, bench,
-                   [](Schedule& schedule, const SequencingGraph& graph,
-                      const Allocation& alloc, const ChipSpec& chip,
-                      const Placement& placement, const WashModel& wash,
-                      const RouterOptions& router, StageTimes& stages,
-                      FlowStats* flow) {
-                     return route_until_consistent(schedule, graph, alloc,
-                                                   chip, placement, wash,
-                                                   router, stages, {}, flow);
-                   },
-                   rep, par);
-        }
       }
 
       const bool identical =
@@ -228,17 +305,6 @@ int main(int argc, char** argv) {
         all_equal = false;
         std::cerr << "MISMATCH: " << s.name
                   << ": incremental fixpoint differs from reference\n";
-      }
-      bool par_identical = true;
-      if (parallel) {
-        par_identical =
-            identical_schedules(par.schedule, reference.schedule) &&
-            identical_routing(par.routing, reference.routing);
-        if (!par_identical) {
-          all_equal = false;
-          std::cerr << "MISMATCH: " << s.name << ": parallel fixpoint ("
-                    << threads << " threads) differs from reference\n";
-        }
       }
 
       const double speedup = incremental.seconds > 0.0
@@ -252,33 +318,14 @@ int main(int argc, char** argv) {
           ++speedup_count_multi;
         }
       }
-      // Parallel speedup is measured against the serial incremental core
-      // (the flat baseline), not the reference loop — it isolates what the
-      // speculative commit protocol buys on top of path reuse.
-      const double par_speedup =
-          parallel && par.seconds > 0.0 ? incremental.seconds / par.seconds
-                                        : 0.0;
-      if (parallel && par_speedup > 0.0) {
-        par_log_speedup_sum += std::log(par_speedup);
-        ++par_speedup_count;
-        if (incremental.flow.rounds > 1) {
-          par_log_speedup_sum_multi += std::log(par_speedup);
-          ++par_speedup_count_multi;
-        }
-      }
       const FlowStats& flow = incremental.flow;
-      std::vector<std::string> row = {
-          s.name, std::to_string(s.schedule.transports.size()),
-          std::to_string(flow.rounds),
-          format_double(reference.seconds * 1e3, 3),
-          format_double(incremental.seconds * 1e3, 3),
-          format_double(speedup, 2), std::to_string(flow.transports_reused),
-          std::to_string(flow.transports_rerouted)};
-      if (parallel) {
-        row.push_back(format_double(par.seconds * 1e3, 3));
-        row.push_back(format_double(par_speedup, 2));
-      }
-      table.add_row(std::move(row));
+      table.add_row({s.name, std::to_string(s.schedule.transports.size()),
+                     std::to_string(flow.rounds),
+                     format_double(reference.seconds * 1e3, 3),
+                     format_double(incremental.seconds * 1e3, 3),
+                     format_double(speedup, 2),
+                     std::to_string(flow.transports_reused),
+                     std::to_string(flow.transports_rerouted)});
 
       json << (first ? "" : ",") << "\n  {\"name\": \"" << s.name
            << "\", \"transports\": " << s.schedule.transports.size()
@@ -304,19 +351,7 @@ int main(int argc, char** argv) {
                           : 0.0)
              << "}";
       }
-      json << "]}";
-      if (parallel) {
-        const ParallelFlowStats& spec = par.flow.parallel;
-        json << ", \"parallel\": {\"threads\": " << threads
-             << ", \"seconds\": " << num(par.seconds)
-             << ", \"speedup_vs_flat\": " << num(par_speedup)
-             << ", \"identical\": " << (par_identical ? "true" : "false")
-             << ", \"speculated\": " << spec.speculated
-             << ", \"spec_committed\": " << spec.committed
-             << ", \"spec_mispredicted\": " << spec.mispredicted
-             << ", \"spec_fallbacks\": " << spec.fallback_searches << "}";
-      }
-      json << "}";
+      json << "]}}";
       first = false;
     }
   }
@@ -326,29 +361,9 @@ int main(int argc, char** argv) {
       speedup_count_multi
           ? std::exp(log_speedup_sum_multi / speedup_count_multi)
           : 0.0;
-  const double par_geomean =
-      par_speedup_count
-          ? std::exp(par_log_speedup_sum / par_speedup_count)
-          : 0.0;
-  const double par_geomean_multi =
-      par_speedup_count_multi
-          ? std::exp(par_log_speedup_sum_multi / par_speedup_count_multi)
-          : 0.0;
   json << "\n], \"geomean_speedup\": " << num(geomean)
        << ", \"geomean_speedup_multi_round\": " << num(geomean_multi)
        << ", \"multi_round_configs\": " << speedup_count_multi;
-  if (parallel) {
-    // host_cores lets the gate distinguish "protocol regressed" from
-    // "bench host cannot express parallelism": on a box with fewer cores
-    // than threads, workers timeshare with the committer and the honest
-    // measurement is overhead, not speedup.
-    json << ", \"parallel\": {\"threads\": " << threads
-         << ", \"host_cores\": " << std::thread::hardware_concurrency()
-         << ", \"geomean_speedup\": " << num(par_geomean)
-         << ", \"geomean_speedup_multi_round\": " << num(par_geomean_multi)
-         << ", \"multi_round_configs\": " << par_speedup_count_multi << "}";
-  }
-  json << "}";
 
   std::cout << "ROUTE-RETIME FIXPOINT: incremental core vs from-scratch "
                "reference\n(best of "
@@ -360,14 +375,8 @@ int main(int argc, char** argv) {
             << "\nGeomean speedup (multi-round flows):  "
             << format_double(geomean_multi, 3) << " over "
             << speedup_count_multi << " configs\n";
-  if (parallel) {
-    std::cout << "Parallel (" << threads
-              << " threads) geomean vs flat:        "
-              << format_double(par_geomean, 3)
-              << "\nParallel geomean (multi-round flows): "
-              << format_double(par_geomean_multi, 3) << " over "
-              << par_speedup_count_multi << " configs\n";
-  }
+  if (threads > 1 && !run_candidate_jobs(threads, json)) all_equal = false;
+  json << "}";
   std::cout << "\nJSON:\n" << json.str() << "\n";
   if (!json_out.empty()) {
     std::ofstream out(json_out);

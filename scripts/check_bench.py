@@ -25,14 +25,14 @@ the reuse machinery actually has repeat work to remove — must meet
 --flow-geomean-multi (default 1.2).
 
 When the flow report was produced with --threads N it carries a
-"parallel" section (speculative parallel routing vs the serial
-incremental core). Determinism is gated unconditionally: every config's
-parallel.identical must be true. The performance gate —
---flow-parallel-geomean (default 1.3) over the multi-round configs —
-applies only when the bench host had at least as many cores as routing
-threads (parallel.host_cores >= parallel.threads); on a smaller host
-workers timeshare with the commit thread, so the honest measurement is
-overhead, not speedup, and the gate prints a skip notice instead.
+"candidate_jobs" section: cold synthesize_dcsa jobs with the SA
+candidates' fixpoints routed N at once vs serially. Determinism is gated
+unconditionally: every job's identical must be true. The performance
+gate — --flow-jobs-geomean (default 1.0) on the geomean job speedup —
+applies only when the bench host had at least as many cores as threads
+(candidate_jobs.host_cores >= candidate_jobs.threads); on a smaller host
+the tasks timeshare, so the honest measurement is overhead, not speedup,
+and the gate prints a skip notice instead.
 
 Also gates the synthesis-service load report written by service_load
 (--json-out) when given via --service FILE: every request must have been
@@ -137,13 +137,54 @@ def check_file(path, min_speedup, geomean_floor):
     return errors, speedups, geomean
 
 
-def check_flow(path, min_speedup, geomean_multi_floor, parallel_geomean_floor):
+def check_candidate_jobs(path, section, jobs_geomean_floor):
+    """Gates flow_perf's "candidate_jobs" section; returns (errors, note)."""
+    errors = []
+    jobs = section.get("jobs")
+    if not isinstance(jobs, list) or not jobs:
+        return [f"{path}: candidate_jobs has no jobs"], ""
+    for i, job in enumerate(jobs):
+        if not isinstance(job, dict):
+            errors.append(f"{path}: candidate_jobs.jobs[{i}] is not an object")
+        elif job.get("identical") is not True:
+            # Hard determinism gate, on any host: routing the candidates
+            # at once must give the serial loop's result byte for byte.
+            errors.append(
+                f"{path}: {job.get('name', '<unnamed>')}: candidate-parallel "
+                f"job is not reported identical to the serial job "
+                f"(identical={job.get('identical')!r})"
+            )
+    threads = section.get("threads")
+    host_cores = section.get("host_cores")
+    geomean = section.get("geomean_job_speedup")
+    if not isinstance(threads, int) or not isinstance(host_cores, int):
+        errors.append(
+            f"{path}: candidate_jobs.threads / host_cores are not integers "
+            f"({threads!r}, {host_cores!r})"
+        )
+        return errors, ""
+    if not isinstance(geomean, (int, float)):
+        errors.append(f"{path}: candidate_jobs is missing geomean_job_speedup")
+        return errors, ""
+    if host_cores < threads:
+        return errors, (
+            f", candidate jobs ({threads}t) perf gate skipped: bench host "
+            f"has {host_cores} core(s) (determinism still gated)"
+        )
+    if geomean < jobs_geomean_floor:
+        errors.append(
+            f"{path}: candidate-parallel job geomean {geomean:.3f}x at "
+            f"{threads} threads is below the {jobs_geomean_floor:.2f}x floor"
+        )
+    return errors, f", candidate jobs ({threads}t) geomean {geomean:.2f}x"
+
+
+def check_flow(path, min_speedup, geomean_multi_floor, jobs_geomean_floor):
     errors = []
     doc, benchmarks = load_benchmarks(path)
 
     reused = 0
     rerouted = 0
-    has_parallel = isinstance(doc.get("parallel"), dict)
     for i, entry in enumerate(benchmarks):
         if not isinstance(entry, dict):
             errors.append(f"{path}: benchmarks[{i}] is not an object")
@@ -155,21 +196,6 @@ def check_flow(path, min_speedup, geomean_multi_floor, parallel_geomean_floor):
                 f"identical to the from-scratch loop "
                 f"(identical={entry.get('identical')!r})"
             )
-        if has_parallel:
-            par = entry.get("parallel")
-            if not isinstance(par, dict):
-                errors.append(
-                    f"{path}: {name}: missing per-config 'parallel' object"
-                )
-            elif par.get("identical") is not True:
-                # Hard determinism gate: the speculative parallel router
-                # must be bit-identical to the reference at any thread
-                # count, on any host.
-                errors.append(
-                    f"{path}: {name}: parallel fixpoint is not reported "
-                    f"identical to the reference "
-                    f"(parallel.identical={par.get('identical')!r})"
-                )
         speedup = entry.get("speedup")
         if not isinstance(speedup, (int, float)) or speedup <= 0:
             errors.append(f"{path}: {name}: missing or invalid speedup")
@@ -213,41 +239,16 @@ def check_flow(path, min_speedup, geomean_multi_floor, parallel_geomean_floor):
             f"is below the {geomean_multi_floor:.2f}x floor"
         )
 
-    parallel_note = ""
-    if has_parallel:
-        par = doc["parallel"]
-        par_threads = par.get("threads", 0)
-        host_cores = par.get("host_cores", 0)
-        if not isinstance(par_threads, int) or not isinstance(host_cores, int):
-            errors.append(
-                f"{path}: parallel.threads / parallel.host_cores are not "
-                f"integers ({par_threads!r}, {host_cores!r})"
-            )
-            par_threads = host_cores = 0
-        par_geomean_multi = par.get("geomean_speedup_multi_round")
-        if not isinstance(par_geomean_multi, (int, float)):
-            errors.append(
-                f"{path}: parallel section is missing "
-                "geomean_speedup_multi_round"
-            )
-            par_geomean_multi = 0.0
-        if host_cores >= par_threads > 1:
-            if par_geomean_multi < parallel_geomean_floor:
-                errors.append(
-                    f"{path}: parallel multi-round geomean "
-                    f"{par_geomean_multi:.3f}x at {par_threads} threads "
-                    f"is below the {parallel_geomean_floor:.2f}x floor"
-                )
-            parallel_note = (
-                f", parallel({par_threads}t) multi-round geomean "
-                f"{par_geomean_multi:.2f}x"
-            )
+    jobs_note = ""
+    section = doc.get("candidate_jobs")
+    if section is not None:
+        if not isinstance(section, dict):
+            errors.append(f"{path}: candidate_jobs is not an object")
         else:
-            parallel_note = (
-                f", parallel({par_threads}t) perf gate skipped: bench "
-                f"host has {host_cores} core(s) "
-                f"(determinism still gated)"
+            job_errors, jobs_note = check_candidate_jobs(
+                path, section, jobs_geomean_floor
             )
+            errors.extend(job_errors)
 
     searches = reused + rerouted
     reuse = reused / searches if searches else 0.0
@@ -258,7 +259,7 @@ def check_flow(path, min_speedup, geomean_multi_floor, parallel_geomean_floor):
         f"{geomean_multi if isinstance(geomean_multi, (int, float)) else 0.0:.2f}x "
         f"over {multi_count} configs, "
         f"{reused}/{searches} transports reused ({reuse:.0%})"
-        f"{parallel_note}"
+        f"{jobs_note}"
     )
     return errors
 
@@ -468,6 +469,46 @@ def self_test():
         }
     }
 
+    good_flow = {
+        "reps": 15,
+        "benchmarks": [
+            {
+                "name": "Synthetic2/dcsa",
+                "speedup": 1.3,
+                "identical": True,
+                "flow": {
+                    "rounds": 3,
+                    "transports_rerouted": 40,
+                    "transports_reused": 41,
+                    "rounds_detail": [],
+                },
+            }
+        ],
+        "geomean_speedup": 1.3,
+        "geomean_speedup_multi_round": 1.3,
+        "multi_round_configs": 1,
+        "candidate_jobs": {
+            "threads": 4,
+            "host_cores": 4,
+            "reps": 5,
+            "jobs": [{"name": "Synthetic2/dcsa", "identical": True}],
+            "geomean_job_speedup": 1.4,
+            "geomean_route_speedup": 1.8,
+            "identical": True,
+        },
+    }
+
+    def flow_with(**changes):
+        doc = json.loads(json.dumps(good_flow))
+        jobs = doc["candidate_jobs"]
+        for key, value in changes.items():
+            if key == "identical":
+                jobs["jobs"][0]["identical"] = value
+                jobs["identical"] = value
+            else:
+                jobs[key] = value
+        return doc
+
     def diverged_fuzz():
         doc = json.loads(json.dumps(good_fuzz))
         doc["fuzz"]["divergences"] = 2
@@ -638,6 +679,41 @@ def self_test():
         1,
         ["diverged from the untraced result"],
     )
+    case(
+        "good flow report passes",
+        good_flow,
+        ["--flow"],
+        0,
+        ["candidate jobs (4t) geomean 1.40x", "all benchmark gates"],
+    )
+    case(
+        "non-identical candidate-parallel job fails",
+        flow_with(identical=False),
+        ["--flow"],
+        1,
+        ["not reported identical to the serial job"],
+    )
+    case(
+        "candidate-parallel job geomean below the floor fails",
+        flow_with(geomean_job_speedup=0.9),
+        ["--flow"],
+        1,
+        ["job geomean 0.900x at 4 threads is below the 1.00x floor"],
+    )
+    case(
+        "small host skips the candidate-parallel perf gate",
+        flow_with(host_cores=2, geomean_job_speedup=0.5),
+        ["--flow"],
+        0,
+        ["perf gate skipped: bench host has 2 core(s)"],
+    )
+    case(
+        "small host still gates candidate-parallel determinism",
+        flow_with(host_cores=2, identical=False),
+        ["--flow"],
+        1,
+        ["not reported identical to the serial job"],
+    )
     case("good fuzz report passes", good_fuzz, ["--fuzz"], 0, ["divergences=0"])
     case(
         "fuzz divergence fails",
@@ -716,12 +792,12 @@ def main(argv=None):
         "files (default: 1.2)",
     )
     parser.add_argument(
-        "--flow-parallel-geomean",
+        "--flow-jobs-geomean",
         type=float,
-        default=1.3,
-        help="multi-round geomean floor for the parallel section of "
-        "--flow files (default: 1.3); enforced only when the bench "
-        "host had at least as many cores as routing threads",
+        default=1.0,
+        help="geomean job-speedup floor for the candidate_jobs section of "
+        "--flow files (default: 1.0); enforced only when the bench host "
+        "had at least as many cores as threads",
     )
     parser.add_argument(
         "--service",
@@ -828,7 +904,7 @@ def main(argv=None):
                     path,
                     args.flow_min_speedup,
                     args.flow_geomean_multi,
-                    args.flow_parallel_geomean,
+                    args.flow_jobs_geomean,
                 )
             )
         except (OSError, ValueError, json.JSONDecodeError) as exc:

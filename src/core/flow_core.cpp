@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
+#include <optional>
 
-#include "route/parallel_router.hpp"
 #include "schedule/retiming.hpp"
 #include "trace/trace.hpp"
 #include "util/logging.hpp"
@@ -30,7 +29,6 @@ void fold_round(FlowStats* flow, const FlowRound& round) {
   flow->transports_rerouted += round.transports_rerouted;
   flow->transports_reused += round.transports_reused;
   flow->cells_evicted += round.cells_evicted;
-  flow->parallel += round.parallel;
   flow->round_details.push_back(round);
 }
 
@@ -48,21 +46,10 @@ RoutingResult route_until_consistent(
 
   TRACE_SPAN("stage", "fixpoint");
   const auto build_start = Clock::now();
-  // The parallel router is pure execution policy: it commits, provably,
-  // exactly what the serial sweep commits (see parallel_router.hpp), so
-  // choosing it cannot change the result — only the wall time.
-  const bool parallel = router_options.route_threads > 1 &&
-                        static_cast<bool>(router_options.route_executor);
-  std::unique_ptr<IncrementalRouter> router;
+  std::optional<IncrementalRouter> router;
   {
     TRACE_SPAN("stage", "grid_build");
-    router = parallel
-                 ? std::make_unique<ParallelRouter>(chip, allocation,
-                                                    placement, wash_model,
-                                                    router_options)
-                 : std::make_unique<IncrementalRouter>(
-                       chip, allocation, placement, wash_model,
-                       router_options);
+    router.emplace(chip, allocation, placement, wash_model, router_options);
   }
   stages.grid_build += seconds_since(build_start);
 

@@ -40,7 +40,9 @@ namespace fbmb {
 
 /// Wall time spent in each stage of one synthesis flow, in seconds. Filled
 /// by synthesize_custom (and therefore by both presets); the runtime
-/// telemetry layer aggregates these across batched jobs.
+/// telemetry layer aggregates these across batched jobs. grid_build,
+/// route and retime are summed over the SA candidates' fixpoints, so
+/// when those run in parallel they are thread time, not wall time.
 struct StageTimes {
   double schedule = 0.0;    ///< binding & list scheduling
   double refine = 0.0;      ///< channel-storage refinement pass
@@ -62,12 +64,6 @@ struct FlowStats {
   std::uint64_t transports_rerouted = 0;  ///< tasks that ran the A* pipeline
   std::uint64_t transports_reused = 0;    ///< tasks replayed without search
   std::uint64_t cells_evicted = 0;  ///< cell reservations dropped by dirt
-  /// Speculation outcomes summed over every parallel round (all zero for
-  /// serial routing). Telemetry-only, and — unlike the reuse counters
-  /// above — not deterministic: which positions the workers reach before
-  /// the committer depends on scheduling. The committed routing result
-  /// never does.
-  ParallelFlowStats parallel;
   /// Per-round breakdown, in execution order (concatenated across
   /// fixpoints). Not threaded through telemetry or the result cache; the
   /// flow_perf bench reports per-round re-route fractions from it.
@@ -78,7 +74,6 @@ struct FlowStats {
     transports_rerouted += o.transports_rerouted;
     transports_reused += o.transports_reused;
     cells_evicted += o.cells_evicted;
-    parallel += o.parallel;
     round_details.insert(round_details.end(), o.round_details.begin(),
                          o.round_details.end());
     return *this;
@@ -91,10 +86,9 @@ struct FlowStats {
 /// retime spans to `stages`. `checkpoint`, when set, is invoked with
 /// "route" before every transport inside every routing round
 /// (cancellation hook; latency is bounded by one search, not one round).
-/// `flow`, when set, receives the reuse accounting. With
-/// router_options.route_threads > 1 and a route_executor set, rounds run
-/// the speculative parallel protocol (route/parallel_router.hpp) — the
-/// result is bit-identical either way.
+/// `flow`, when set, receives the reuse accounting. The fixpoint itself
+/// is serial: router_options.route_threads / route_executor are read by
+/// synthesize_custom, which runs whole candidate fixpoints in parallel.
 RoutingResult route_until_consistent(
     Schedule& schedule, const SequencingGraph& graph,
     const Allocation& allocation, const ChipSpec& chip,

@@ -1,7 +1,9 @@
 #include "core/synthesis.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
 #include <tuple>
 #include <vector>
 #include <sstream>
@@ -131,25 +133,68 @@ SynthesisResult synthesize_custom(const SequencingGraph& graph,
                                             &place_stats);
   }
   stages.place = seconds_since(place_start);
-  SynthesisResult best;
-  bool have_best = false;
-  FlowStats flow_total;
-  for (Placement& placement : candidates) {
+  // Each candidate's fixpoint owns its schedule copy, stage times and
+  // flow stats, so the fixpoints are independent. With route_threads > 1
+  // and an executor they run concurrently; the merge below walks them in
+  // index order either way, so the result is identical to the serial loop.
+  struct Routed {
+    SynthesisResult result;
+    StageTimes stages;
+    std::exception_ptr error;
+  };
+  std::vector<Routed> routed(candidates.size());
+  const auto route_candidate = [&](std::size_t i) {
+    Routed& slot = routed[i];
     Schedule trial_schedule = schedule;
     FlowStats flow_stats;
     RoutingResult routing = route_until_consistent(
-        trial_schedule, graph, allocation, chip, placement, wash_model,
-        options.router, stages, checkpoint, &flow_stats);
-    flow_total += flow_stats;
-    SynthesisResult result =
-        finish(allocation, std::move(trial_schedule), std::move(placement),
-               std::move(routing), chip, t0);
-    const auto key = [](const SynthesisResult& r) {
-      return std::make_tuple(r.completion_time, r.channel_length_mm,
-                             r.channel_wash_time);
-    };
-    if (!have_best || key(result) < key(best)) {
-      best = std::move(result);
+        trial_schedule, graph, allocation, chip, candidates[i], wash_model,
+        options.router, slot.stages, checkpoint, &flow_stats);
+    slot.result =
+        finish(allocation, std::move(trial_schedule),
+               std::move(candidates[i]), std::move(routing), chip, t0);
+    slot.result.flow_stats = std::move(flow_stats);
+  };
+  const std::size_t workers = std::min(
+      candidates.size(),
+      static_cast<std::size_t>(std::max(1, options.router.route_threads)));
+  if (workers > 1 && options.router.route_executor) {
+    std::atomic<std::size_t> next{0};
+    std::vector<std::function<void()>> tasks(workers, [&] {
+      for (;;) {
+        const std::size_t i = next.fetch_add(1);
+        if (i >= routed.size()) return;
+        try {
+          route_candidate(i);
+        } catch (...) {
+          routed[i].error = std::current_exception();
+        }
+      }
+    });
+    options.router.route_executor(tasks);
+    // The serial loop would have thrown the lowest-index failure.
+    for (const Routed& slot : routed) {
+      if (slot.error) std::rethrow_exception(slot.error);
+    }
+  } else {
+    for (std::size_t i = 0; i < routed.size(); ++i) route_candidate(i);
+  }
+
+  // Keep the best end-to-end result; ties go to the lower index.
+  const auto key = [](const SynthesisResult& r) {
+    return std::make_tuple(r.completion_time, r.channel_length_mm,
+                           r.channel_wash_time);
+  };
+  SynthesisResult best;
+  bool have_best = false;
+  FlowStats flow_total;
+  for (Routed& slot : routed) {
+    stages.grid_build += slot.stages.grid_build;
+    stages.route += slot.stages.route;
+    stages.retime += slot.stages.retime;
+    flow_total += slot.result.flow_stats;
+    if (!have_best || key(slot.result) < key(best)) {
+      best = std::move(slot.result);
       have_best = true;
     }
   }

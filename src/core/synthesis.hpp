@@ -50,7 +50,9 @@ struct SynthesisOptions {
   /// the name of the stage about to run. A deadline/cancellation hook for
   /// services: throwing (e.g. SynthesisCancelled) aborts the flow cleanly
   /// between stages. Execution policy — not part of the input fingerprint,
-  /// cannot change the result of a flow that runs to completion.
+  /// cannot change the result of a flow that runs to completion. With
+  /// router.route_threads > 1 and a route_executor, the "route" calls of
+  /// different SA candidates may arrive concurrently.
   std::function<void(const char* stage)> checkpoint;
   /// Stamped on every trace event this synthesis emits (see src/trace);
   /// 0 means "no id". Like `checkpoint`, pure execution policy: excluded

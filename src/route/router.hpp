@@ -65,18 +65,18 @@ struct RouterOptions {
   /// (schedule, routing) pair is still consistent, and reports it via
   /// RouteStats::fixpoints_capped.
   int max_fixpoint_rounds = 20;
-  /// Speculative routing workers per fixpoint round (<= 1 keeps the
-  /// serial sweep). Execution policy, not an input: the speculative
-  /// commit-order protocol (route/parallel_router.hpp) is bit-identical
-  /// to the serial sweep at every thread count, so this field — like
-  /// route_executor below — is deliberately not fingerprinted by the
-  /// runtime result cache.
+  /// SA placement candidates whose route–retime fixpoints
+  /// synthesize_custom runs at once (<= 1 keeps the serial candidate
+  /// loop). Execution policy, not an input: each candidate's fixpoint is
+  /// independent and the best is picked in index order, so the result is
+  /// identical at every value, and this field — like route_executor
+  /// below — is deliberately not fingerprinted by the runtime result
+  /// cache. route_until_consistent itself ignores both fields.
   int route_threads = 1;
-  /// Runs the committer + speculation-worker task set of one parallel
-  /// routing round; the runtime wires this to ThreadPool::parallel_invoke
-  /// so routing shares the engine's pool instead of spawning threads.
-  /// Empty (the default) keeps routing serial regardless of
-  /// route_threads.
+  /// Runs the candidate routing tasks; the runtime wires this to
+  /// ThreadPool::parallel_invoke so routing shares the engine's pool
+  /// instead of spawning threads. Empty (the default) keeps routing
+  /// serial regardless of route_threads.
   std::function<void(std::vector<std::function<void()>>&)> route_executor;
 };
 

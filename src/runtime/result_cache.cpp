@@ -1,6 +1,7 @@
 #include "runtime/result_cache.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -91,10 +92,25 @@ bool ResultCache::save_json(const std::string& path) const {
     }
     os << "\n]}\n";
   }
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << os.str();
-  return static_cast<bool>(out);
+  // Write a sibling temp file and rename it over the target: the rename
+  // is atomic, so a crash or a failed write leaves either the previous
+  // spill or the complete new one, never a truncated file.
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::trunc);
+    if (!out) return false;
+    out << os.str();
+    out.close();
+    if (!out) {
+      std::remove(tmp.c_str());
+      return false;
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return false;
+  }
+  return true;
 }
 
 std::size_t ResultCache::load_json(const std::string& path) {

@@ -50,8 +50,9 @@ class ResultCache {
 
   void clear();
 
-  /// Writes all entries (most recent first) as one JSON document. Returns
-  /// false on I/O failure.
+  /// Writes all entries (most recent first) as one JSON document, via
+  /// `path` + ".tmp" renamed over `path`, so the previous file survives
+  /// any failure intact. Returns false on I/O failure.
   bool save_json(const std::string& path) const;
 
   /// Merges entries from a spill file into the cache (existing keys keep

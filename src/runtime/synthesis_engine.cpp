@@ -26,9 +26,10 @@ std::string number(double v) {
   return buf;
 }
 
-/// Restart/route tasks run on shared pool workers whose thread-local
-/// trace id belongs to whatever job they last served; re-establish this
-/// job's id around each task so its events stay attributable.
+/// Restart and candidate-routing tasks run on shared pool workers whose
+/// thread-local trace id belongs to whatever job they last served;
+/// re-establish this job's id around each task so its events stay
+/// attributable.
 void wrap_tasks_with_trace_id(std::vector<std::function<void()>>& tasks,
                               std::uint64_t trace_id) {
   if (trace_id == 0) return;
@@ -125,10 +126,9 @@ JobOutcome SynthesisEngine::execute(const SynthesisJob& job) {
     options.router.route_threads = static_cast<int>(options_.route_threads);
   }
   if (options.router.route_threads > 1 && !options.router.route_executor) {
-    // Route speculation workers share the engine pool; parallel_invoke's
-    // caller participation keeps a saturated pool deadlock-free (the
-    // committer then steals every position and the round degrades to the
-    // serial sweep).
+    // Candidate routing tasks share the engine pool; parallel_invoke's
+    // caller participation keeps a saturated pool deadlock-free (the job
+    // thread then routes every candidate itself).
     options.router.route_executor =
         [this, trace_id](std::vector<std::function<void()>>& tasks) {
           wrap_tasks_with_trace_id(tasks, trace_id);
@@ -233,15 +233,7 @@ std::string SynthesisEngine::telemetry_json(
        << ", \"transports_reused\": "
        << outcome.result.flow_stats.transports_reused
        << ", \"cells_evicted\": "
-       << outcome.result.flow_stats.cells_evicted
-       << ", \"speculated\": "
-       << outcome.result.flow_stats.parallel.speculated
-       << ", \"spec_committed\": "
-       << outcome.result.flow_stats.parallel.committed
-       << ", \"spec_mispredicted\": "
-       << outcome.result.flow_stats.parallel.mispredicted
-       << ", \"spec_fallbacks\": "
-       << outcome.result.flow_stats.parallel.fallback_searches << "}"
+       << outcome.result.flow_stats.cells_evicted << "}"
        << ", \"placement\": {\"proposals\": "
        << outcome.result.place_stats.proposals
        << ", \"accepts\": " << outcome.result.place_stats.accepts

@@ -52,6 +52,14 @@ void expect_metrics_identical(const SynthesisResult& a,
   }
 }
 
+/// The result JSON without its wall-clock fields (cpu_seconds,
+/// stage_seconds), which describe the run rather than the result.
+std::string timing_free_json(SynthesisResult result) {
+  result.cpu_seconds = 0.0;
+  result.stage_seconds = StageTimes{};
+  return synthesis_result_to_json(result);
+}
+
 TEST(SynthesisEngine, ParallelBatchBitIdenticalToSerialFlows) {
   const auto jobs = small_jobs();
 
@@ -71,20 +79,40 @@ TEST(SynthesisEngine, ParallelBatchBitIdenticalToSerialFlows) {
 
 TEST(SynthesisEngine, ParallelRestartsMatchSerialRestarts) {
   const auto jobs = small_jobs();
-  SynthesisEngineOptions parallel;
-  parallel.threads = 4;
-  parallel.parallel_restarts = true;
   SynthesisEngineOptions serial;
   serial.threads = 1;
   serial.parallel_restarts = false;
-  SynthesisEngine parallel_engine(parallel);
   SynthesisEngine serial_engine(serial);
-  const auto a = parallel_engine.run_batch(jobs);
   const auto b = serial_engine.run_batch(jobs);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    expect_metrics_identical(a[i].result, b[i].result, a[i].name);
-    EXPECT_EQ(a[i].fingerprint, b[i].fingerprint);
+  // route_threads = 4 also routes the SA candidates' fixpoints at once.
+  for (const std::size_t route_threads : {std::size_t{1}, std::size_t{4}}) {
+    SynthesisEngineOptions parallel;
+    parallel.threads = 4;
+    parallel.parallel_restarts = true;
+    parallel.route_threads = route_threads;
+    SynthesisEngine parallel_engine(parallel);
+    const auto a = parallel_engine.run_batch(jobs);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const std::string label =
+          a[i].name + " route_threads=" + std::to_string(route_threads);
+      expect_metrics_identical(a[i].result, b[i].result, label);
+      EXPECT_EQ(a[i].fingerprint, b[i].fingerprint) << label;
+      EXPECT_EQ(timing_free_json(a[i].result), timing_free_json(b[i].result))
+          << label;
+      const auto& rounds_a = a[i].result.flow_stats.round_details;
+      const auto& rounds_b = b[i].result.flow_stats.round_details;
+      ASSERT_EQ(rounds_a.size(), rounds_b.size()) << label;
+      for (std::size_t r = 0; r < rounds_a.size(); ++r) {
+        EXPECT_EQ(rounds_a[r].transports_rerouted,
+                  rounds_b[r].transports_rerouted)
+            << label << " round " << r;
+        EXPECT_EQ(rounds_a[r].transports_reused, rounds_b[r].transports_reused)
+            << label << " round " << r;
+        EXPECT_EQ(rounds_a[r].cells_evicted, rounds_b[r].cells_evicted)
+            << label << " round " << r;
+      }
+    }
   }
 }
 
@@ -298,38 +326,59 @@ TEST(SynthesisEngine, MidRoundCancelAbortsAtNextTransportAndIsNotCached) {
   // mid round 0 of Synthetic2's 27-transport fixpoint — and the flow
   // must stop at the 6th, not finish the round (round-level checkpoints
   // would fire at most once per round and never reach a 5-call count
-  // inside one round).
+  // inside one round). With route_threads = 4 the SA candidates route
+  // at once, and each stops at its next transport.
   const Benchmark bench = make_synthetic(2);
-  SynthesisJob job;
-  job.name = bench.name;
-  job.graph = bench.graph;
-  job.allocation = Allocation(bench.allocation);
-  job.wash = bench.wash;
-  job.cancel = std::make_shared<CancellationToken>();
+  for (const std::size_t route_threads : {std::size_t{1}, std::size_t{4}}) {
+    const std::string label = "route_threads=" + std::to_string(route_threads);
+    SynthesisJob job;
+    job.name = bench.name;
+    job.graph = bench.graph;
+    job.allocation = Allocation(bench.allocation);
+    job.wash = bench.wash;
+    job.cancel = std::make_shared<CancellationToken>();
 
-  auto route_calls = std::make_shared<std::atomic<int>>(0);
-  job.options.checkpoint = [route_calls,
-                            cancel = job.cancel](const char* stage) {
-    if (std::string(stage) == "route" &&
-        route_calls->fetch_add(1) + 1 == 5) {
-      cancel->cancel();
+    auto route_calls = std::make_shared<std::atomic<int>>(0);
+    job.options.checkpoint = [route_calls,
+                              cancel = job.cancel](const char* stage) {
+      if (std::string(stage) == "route" &&
+          route_calls->fetch_add(1) + 1 == 5) {
+        cancel->cancel();
+      }
+    };
+
+    SynthesisEngineOptions options;
+    options.threads = 4;
+    options.route_threads = route_threads;
+    SynthesisEngine engine(options);
+    try {
+      engine.run_job(job);
+      ADD_FAILURE() << "expected SynthesisCancelled, " << label;
+    } catch (const SynthesisCancelled& e) {
+      EXPECT_EQ(e.reason(), SynthesisCancelled::Reason::kCancelled) << label;
+      EXPECT_EQ(e.stage(), "route") << label;
     }
-  };
+    if (route_threads == 1) {
+      // The engine checks the token before invoking the inner checkpoint,
+      // so the abort lands on the very next transport: exactly 5 inner
+      // calls, far short of the 27 transports of round 0.
+      EXPECT_EQ(route_calls->load(), 5);
+    } else {
+      // Concurrent candidates may each pass the token check once before
+      // the cancel lands; every one stops at its next transport.
+      EXPECT_GE(route_calls->load(), 5) << label;
+      EXPECT_LE(route_calls->load(), 5 + 3) << label;
+    }
+    // An aborted flow must never warm the cache.
+    EXPECT_EQ(engine.cache().size(), 0u) << label;
 
-  SynthesisEngine engine;
-  try {
-    engine.run_job(job);
-    FAIL() << "expected SynthesisCancelled";
-  } catch (const SynthesisCancelled& e) {
-    EXPECT_EQ(e.reason(), SynthesisCancelled::Reason::kCancelled);
-    EXPECT_EQ(e.stage(), "route");
+    // The pool is still healthy: the next job runs to completion.
+    job.cancel.reset();
+    job.options.checkpoint = nullptr;
+    const JobOutcome next = engine.run_job(job);
+    EXPECT_GT(next.result.completion_time, 0.0) << label;
+    EXPECT_EQ(engine.cache().size(), 1u) << label;
   }
-  // The engine checks the token before invoking the inner checkpoint, so
-  // the abort lands on the very next transport: exactly 5 inner calls,
-  // far short of the 27 transports of round 0.
-  EXPECT_EQ(route_calls->load(), 5);
-  // An aborted flow must never warm the cache.
-  EXPECT_EQ(engine.cache().size(), 0u);
 }
 
 }  // namespace

