@@ -1,14 +1,21 @@
-// Placer-core micro-benchmark: incremental PlacerCore vs the
-// full-recompute reference placer.
+// Placer-core micro-benchmark: each placer core vs its reference.
 //
-// For every paper benchmark this bench builds one schedule with the
+// SA: for every paper benchmark this bench builds one schedule with the
 // paper's DCSA flow, then times place_component_candidates (delta
 // energies, in-place moves, occupancy-grid legality) against
 // place_component_candidates_reference (per-proposal Placement copies and
 // full energy recomputation), verifying along the way that the two
-// produce bit-identical placements and energies. Reports a table and a
-// JSON object with per-benchmark timings, proposal throughput, and the
-// core's search counters.
+// produce bit-identical placements and energies.
+//
+// BA: for every paper benchmark it builds the baseline flow's schedule
+// and times place_components_baseline (cached footprints, prefix-summed
+// legality) against place_components_baseline_reference (every other
+// footprint rebuilt per candidate origin), verifying identical
+// placements.
+//
+// Reports a table per placer and one JSON object whose "benchmarks" array
+// holds a row per (benchmark, placer) with its timings, speedup and
+// identity flag (plus, for SA, proposal throughput and search counters).
 //
 //   build/bench/place_perf [--json-out FILE]
 
@@ -21,6 +28,7 @@
 #include <vector>
 
 #include "bench_suite/benchmarks.hpp"
+#include "place/constructive_placer.hpp"
 #include "place/reference_placer.hpp"
 #include "place/sa_placer.hpp"
 #include "report/table.hpp"
@@ -33,6 +41,8 @@ using namespace fbmb;
 using Clock = std::chrono::steady_clock;
 
 constexpr int kReps = 3;
+/// BA jobs take 0.1-10 ms, so they get more (interleaved) reps.
+constexpr int kBaselineReps = 15;
 
 struct Scenario {
   std::string name;
@@ -59,16 +69,24 @@ Scenario prepare(const Benchmark& bench) {
   return s;
 }
 
+/// Same origin and rotation for every component.
+bool same_positions(const Allocation& alloc, const Placement& a,
+                    const Placement& b) {
+  if (a.size() != b.size()) return false;
+  for (const auto& comp : alloc.components()) {
+    if (a.at(comp.id).origin != b.at(comp.id).origin ||
+        a.at(comp.id).rotated != b.at(comp.id).rotated) {
+      return false;
+    }
+  }
+  return true;
+}
+
 bool identical(const Scenario& s, const std::vector<Placement>& a,
                const std::vector<Placement>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t r = 0; r < a.size(); ++r) {
-    for (const auto& comp : s.alloc.components()) {
-      if (a[r].at(comp.id).origin != b[r].at(comp.id).origin ||
-          a[r].at(comp.id).rotated != b[r].at(comp.id).rotated) {
-        return false;
-      }
-    }
+    if (!same_positions(s.alloc, a[r], b[r])) return false;
     const double ea =
         placement_energy(a[r], s.alloc, s.nets, s.placer.compaction_weight);
     const double eb =
@@ -76,6 +94,52 @@ bool identical(const Scenario& s, const std::vector<Placement>& a,
     if (ea != eb) return false;  // bitwise
   }
   return true;
+}
+
+struct BaselineScenario {
+  std::string name;
+  Allocation alloc;
+  Schedule schedule;
+  ChipSpec chip;
+};
+
+BaselineScenario prepare_baseline(const Benchmark& bench) {
+  BaselineScenario s;
+  s.name = bench.name;
+  s.alloc = Allocation(bench.allocation);
+  SchedulerOptions sched;
+  sched.policy = BindingPolicy::kBaseline;
+  sched.refine_storage = false;
+  s.schedule = schedule_bioassay(bench.graph, s.alloc, bench.wash, sched);
+  s.chip = derive_grid(ChipSpec{}, allocation_area(s.alloc, 1));
+  return s;
+}
+
+struct BaselineTiming {
+  double core_s = 0.0;
+  double ref_s = 0.0;
+  Placement core;
+  Placement ref;
+};
+
+/// Best-of-kBaselineReps seconds of the core and the reference, with
+/// their reps interleaved so load drift on the host biases neither side.
+BaselineTiming time_baseline(const BaselineScenario& s) {
+  BaselineTiming t;
+  auto keep_best = [](double& best, Clock::time_point t0, int rep) {
+    const double seconds =
+        std::chrono::duration<double>(Clock::now() - t0).count();
+    if (rep == 0 || seconds < best) best = seconds;
+  };
+  for (int rep = 0; rep < kBaselineReps; ++rep) {
+    auto t0 = Clock::now();
+    t.core = place_components_baseline(s.alloc, s.schedule, s.chip);
+    keep_best(t.core_s, t0, rep);
+    t0 = Clock::now();
+    t.ref = place_components_baseline_reference(s.alloc, s.schedule, s.chip);
+    keep_best(t.ref_s, t0, rep);
+  }
+  return t;
 }
 
 template <typename PlaceFn>
@@ -163,7 +227,7 @@ int main(int argc, char** argv) {
                    std::to_string(stats.accepts)});
 
     json << (first ? "" : ",") << "\n  {\"name\": \"" << s.name
-         << "\", \"components\": " << s.alloc.size()
+         << "\", \"placer\": \"sa\", \"components\": " << s.alloc.size()
          << ", \"nets\": " << s.nets.size()
          << ", \"reference_seconds\": " << num(ref_s)
          << ", \"core_seconds\": " << num(core_s)
@@ -177,12 +241,45 @@ int main(int argc, char** argv) {
          << ", \"occupancy_probes\": " << stats.occupancy_probes << "}}";
     first = false;
   }
+
+  TextTable baseline_table(
+      {"Benchmark", "Comps", "Grid", "Ref (ms)", "Core (ms)", "Speedup"},
+      {Align::kLeft, Align::kRight, Align::kRight, Align::kRight,
+       Align::kRight, Align::kRight});
+  for (const auto& bench : paper_benchmarks()) {
+    const BaselineScenario s = prepare_baseline(bench);
+    const BaselineTiming t = time_baseline(s);
+    const bool same = same_positions(s.alloc, t.core, t.ref);
+    if (!same) {
+      all_equal = false;
+      std::cerr << "MISMATCH: " << s.name
+                << ": BA placer core result differs from reference\n";
+    }
+    const double speedup = t.core_s > 0.0 ? t.ref_s / t.core_s : 0.0;
+    baseline_table.add_row(
+        {s.name, std::to_string(s.alloc.size()),
+         std::to_string(s.chip.grid_width) + "x" +
+             std::to_string(s.chip.grid_height),
+         format_double(t.ref_s * 1e3, 3), format_double(t.core_s * 1e3, 3),
+         format_double(speedup, 2)});
+    json << ",\n  {\"name\": \"" << s.name
+         << "/BA\", \"placer\": \"ba\", \"components\": "
+         << s.alloc.size() << ", \"reference_seconds\": " << num(t.ref_s)
+         << ", \"core_seconds\": " << num(t.core_s)
+         << ", \"speedup\": " << num(speedup)
+         << ", \"identical\": " << (same ? "true" : "false") << "}";
+  }
   json << "\n]}";
 
   std::cout << "PLACER CORE: incremental delta-energy SA vs full-recompute "
                "reference\n(best of " << kReps
             << " runs per placer; results verified identical)\n\n"
-            << table << "\nJSON:\n" << json.str() << "\n";
+            << table
+            << "\nBA PLACER: cached footprints + prefix-summed legality vs "
+               "per-candidate rebuild\n(best of " << kBaselineReps
+            << " interleaved runs per placer; results verified "
+               "identical)\n\n"
+            << baseline_table << "\nJSON:\n" << json.str() << "\n";
   if (!json_out.empty()) {
     std::ofstream out(json_out);
     out << json.str() << "\n";

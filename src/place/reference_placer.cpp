@@ -1,8 +1,10 @@
-// The pre-PlacerCore SA placer, kept verbatim as an equivalence oracle.
-// Every proposal copies the whole Placement, re-evaluates Eq. 3 over all
-// nets (plus an O(n^2) pairwise rescan for the compaction term), and checks
-// legality by scanning every other component. Do not optimize this file:
-// its value is being the original, obviously-correct formulation.
+// The pre-PlacerCore SA placer and the pre-cache BA placer, kept verbatim
+// as equivalence oracles. Every SA proposal copies the whole Placement,
+// re-evaluates Eq. 3 over all nets (plus an O(n^2) pairwise rescan for the
+// compaction term), and checks legality by scanning every other component;
+// every BA candidate origin rebuilds every other footprint for legality and
+// every neighbour's for its cost. Do not optimize this file: its value is
+// being the original, obviously-correct formulation.
 
 #include "place/reference_placer.hpp"
 
@@ -10,6 +12,7 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -40,7 +43,8 @@ bool fits(const Placement& placement, const Allocation& allocation,
 }
 
 /// Deterministic packed placement: row-major shelf packing. Fallback when
-/// rejection sampling cannot find a random legal start.
+/// rejection sampling cannot find a random legal start, and the BA
+/// placer's initial floorplan.
 Placement packed_placement(const Allocation& allocation,
                            const ChipSpec& spec) {
   Placement placement(allocation.size());
@@ -259,6 +263,84 @@ std::vector<Placement> place_component_candidates_reference(
     out.push_back(std::move(result.first));
   }
   return out;
+}
+
+Placement place_components_baseline_reference(
+    const Allocation& allocation, const Schedule& schedule,
+    const ChipSpec& spec, const ConstructivePlacerOptions& options) {
+  if (!spec.has_fixed_grid()) {
+    throw std::invalid_argument(
+        "place_components_baseline requires a fixed grid");
+  }
+  if (allocation.empty()) return Placement{};
+
+  // Unweighted adjacency: which components exchange fluids at all.
+  std::set<std::pair<int, int>> edges;
+  for (const auto& t : schedule.transports) {
+    if (t.from == t.to) continue;
+    edges.insert({std::min(t.from.value, t.to.value),
+                  std::max(t.from.value, t.to.value)});
+  }
+  std::vector<std::vector<ComponentId>> neighbors(allocation.size());
+  for (const auto& [a, b] : edges) {
+    neighbors[static_cast<std::size_t>(a)].push_back(ComponentId{b});
+    neighbors[static_cast<std::size_t>(b)].push_back(ComponentId{a});
+  }
+
+  Placement placement = packed_placement(allocation, spec);
+
+  // Sequential correction: relocate each component to the legal origin that
+  // minimizes the sum of Manhattan distances to its neighbours (then total
+  // spread as a tiebreak so disconnected components also settle).
+  const int stride = std::max(1, options.scan_stride);
+  for (int pass = 0; pass < options.correction_passes; ++pass) {
+    bool improved = false;
+    for (const auto& comp : allocation.components()) {
+      const auto& nbrs = neighbors[static_cast<std::size_t>(comp.id.value)];
+      const PlacedComponent original = placement.at(comp.id);
+      auto cost = [&]() {
+        long c = 0;
+        const Rect fp = placement.footprint(comp.id, allocation);
+        if (!nbrs.empty()) {
+          for (ComponentId n : nbrs) {
+            c += manhattan_distance(fp, placement.footprint(n, allocation));
+          }
+        } else {
+          for (const auto& other : allocation.components()) {
+            if (other.id == comp.id) continue;
+            c += manhattan_distance(
+                fp, placement.footprint(other.id, allocation));
+          }
+        }
+        return c;
+      };
+      long best_cost = cost();
+      PlacedComponent best = original;
+      for (int rot = 0; rot < 2; ++rot) {
+        const bool rotated = rot == 1;
+        const int w = rotated ? comp.height : comp.width;
+        const int h = rotated ? comp.width : comp.height;
+        for (int y = 0; y + h <= spec.grid_height; y += stride) {
+          for (int x = 0; x + w <= spec.grid_width; x += stride) {
+            placement.at(comp.id) = {{x, y}, rotated};
+            if (!fits(placement, allocation, spec, comp.id)) continue;
+            const long c = cost();
+            if (c < best_cost) {
+              best_cost = c;
+              best = placement.at(comp.id);
+            }
+          }
+        }
+      }
+      placement.at(comp.id) = best;
+      if (!(best.origin == original.origin &&
+            best.rotated == original.rotated)) {
+        improved = true;
+      }
+    }
+    if (!improved) break;
+  }
+  return placement;
 }
 
 }  // namespace fbmb

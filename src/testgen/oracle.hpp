@@ -2,9 +2,11 @@
 //
 // Runs the scenario through every optimized core and its frozen reference
 // twin — scheduler (schedule_bioassay vs schedule_bioassay_reference),
-// placer (place_components vs place_components_reference), router
-// (route_transports vs route_transports_reference), and the route-retime
-// fixpoint (route_until_consistent vs route_until_consistent_reference) —
+// SA placer (place_components vs place_components_reference), BA placer
+// (place_components_baseline vs place_components_baseline_reference),
+// router (route_transports vs route_transports_reference), and the
+// route-retime fixpoint (route_until_consistent vs
+// route_until_consistent_reference) —
 // asserting bit-identical results at every pair, then cross-checks the
 // winning result against the independent invariant layers: the schedule
 // and routing validators and the discrete-event chip simulator.
