@@ -333,11 +333,9 @@ int main(int argc, char** argv) {
            << ", \"flat_seconds\": " << num(incremental.seconds)
            << ", \"speedup\": " << num(speedup)
            << ", \"identical\": " << (identical ? "true" : "false")
-           << ", \"flow\": {\"rounds\": " << flow.rounds
-           << ", \"transports_rerouted\": " << flow.transports_rerouted
-           << ", \"transports_reused\": " << flow.transports_reused
-           << ", \"cells_evicted\": " << flow.cells_evicted
-           << ", \"rounds_detail\": [";
+           << ", \"flow\": {";
+      write_field_members(json, flow);
+      json << ", \"rounds_detail\": [";
       for (std::size_t r = 0; r < flow.round_details.size(); ++r) {
         const FlowRound& round = flow.round_details[r];
         const std::uint64_t total =

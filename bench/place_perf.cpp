@@ -13,6 +13,7 @@
 // footprint rebuilt per candidate origin), verifying identical
 // placements.
 //
+// Each timing is the best of 15 reps, core and reference interleaved.
 // Reports a table per placer and one JSON object whose "benchmarks" array
 // holds a row per (benchmark, placer) with its timings, speedup and
 // identity flag (plus, for SA, proposal throughput and search counters).
@@ -40,9 +41,9 @@ namespace {
 using namespace fbmb;
 using Clock = std::chrono::steady_clock;
 
-constexpr int kReps = 3;
-/// BA jobs take 0.1-10 ms, so they get more (interleaved) reps.
-constexpr int kBaselineReps = 15;
+/// Placer jobs take 0.05-10 ms, so each side gets 15 interleaved reps and
+/// keeps its best: a single slow rep from host noise cannot move a row.
+constexpr int kReps = 15;
 
 struct Scenario {
   std::string name;
@@ -115,46 +116,34 @@ BaselineScenario prepare_baseline(const Benchmark& bench) {
   return s;
 }
 
-struct BaselineTiming {
+template <class Out>
+struct Timing {
   double core_s = 0.0;
   double ref_s = 0.0;
-  Placement core;
-  Placement ref;
+  Out core;
+  Out ref;
 };
 
-/// Best-of-kBaselineReps seconds of the core and the reference, with
-/// their reps interleaved so load drift on the host biases neither side.
-BaselineTiming time_baseline(const BaselineScenario& s) {
-  BaselineTiming t;
+/// Best-of-kReps seconds of `core` and `reference`, with their reps
+/// interleaved so load drift on the host biases neither side; keeps each
+/// side's last output.
+template <class CoreFn, class RefFn>
+auto time_interleaved(CoreFn core, RefFn reference) {
+  Timing<decltype(core())> t;
   auto keep_best = [](double& best, Clock::time_point t0, int rep) {
     const double seconds =
         std::chrono::duration<double>(Clock::now() - t0).count();
     if (rep == 0 || seconds < best) best = seconds;
   };
-  for (int rep = 0; rep < kBaselineReps; ++rep) {
+  for (int rep = 0; rep < kReps; ++rep) {
     auto t0 = Clock::now();
-    t.core = place_components_baseline(s.alloc, s.schedule, s.chip);
+    t.core = core();
     keep_best(t.core_s, t0, rep);
     t0 = Clock::now();
-    t.ref = place_components_baseline_reference(s.alloc, s.schedule, s.chip);
+    t.ref = reference();
     keep_best(t.ref_s, t0, rep);
   }
   return t;
-}
-
-template <typename PlaceFn>
-double time_place(const Scenario& s, PlaceFn place,
-                  std::vector<Placement>& last) {
-  double best = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto t0 = Clock::now();
-    std::vector<Placement> result = place(s);
-    const double seconds =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    if (rep == 0 || seconds < best) best = seconds;
-    last = std::move(result);
-  }
-  return best;
 }
 
 std::string num(double v) {
@@ -187,41 +176,34 @@ int main(int argc, char** argv) {
   for (const auto& bench : paper_benchmarks()) {
     const Scenario s = prepare(bench);
 
-    std::vector<Placement> core;
     PlaceStats stats;
-    const double core_s = time_place(
-        s,
-        [&stats](const Scenario& sc) {
+    const auto t = time_interleaved(
+        [&] {
           PlaceStats rep_stats;
-          auto out = place_component_candidates(sc.alloc, sc.schedule,
-                                                sc.wash, sc.chip, sc.placer,
-                                                &rep_stats);
+          auto out = place_component_candidates(s.alloc, s.schedule, s.wash,
+                                                s.chip, s.placer, &rep_stats);
           stats = rep_stats;  // keep the last rep's counters
           return out;
         },
-        core);
-    std::vector<Placement> ref;
-    const double ref_s = time_place(
-        s,
-        [](const Scenario& sc) {
+        [&] {
           return place_component_candidates_reference(
-              sc.alloc, sc.schedule, sc.wash, sc.chip, sc.placer);
-        },
-        ref);
+              s.alloc, s.schedule, s.wash, s.chip, s.placer);
+        });
+    const bool same = identical(s, t.core, t.ref);
 
-    if (!identical(s, core, ref)) {
+    if (!same) {
       all_equal = false;
       std::cerr << "MISMATCH: " << s.name
                 << ": placer core result differs from reference\n";
     }
 
-    const double speedup = core_s > 0.0 ? ref_s / core_s : 0.0;
+    const double speedup = t.core_s > 0.0 ? t.ref_s / t.core_s : 0.0;
     const double proposals_per_s =
-        core_s > 0.0 ? static_cast<double>(stats.proposals) / core_s : 0.0;
+        t.core_s > 0.0 ? static_cast<double>(stats.proposals) / t.core_s : 0.0;
     table.add_row({s.name, std::to_string(s.alloc.size()),
                    std::to_string(s.nets.size()),
-                   format_double(ref_s * 1e3, 3),
-                   format_double(core_s * 1e3, 3),
+                   format_double(t.ref_s * 1e3, 3),
+                   format_double(t.core_s * 1e3, 3),
                    format_double(speedup, 2),
                    format_double(proposals_per_s, 0),
                    std::to_string(stats.accepts)});
@@ -229,16 +211,14 @@ int main(int argc, char** argv) {
     json << (first ? "" : ",") << "\n  {\"name\": \"" << s.name
          << "\", \"placer\": \"sa\", \"components\": " << s.alloc.size()
          << ", \"nets\": " << s.nets.size()
-         << ", \"reference_seconds\": " << num(ref_s)
-         << ", \"core_seconds\": " << num(core_s)
+         << ", \"reference_seconds\": " << num(t.ref_s)
+         << ", \"core_seconds\": " << num(t.core_s)
          << ", \"speedup\": " << num(speedup)
          << ", \"proposals_per_second\": " << num(proposals_per_s)
-         << ", \"identical\": " << (identical(s, core, ref) ? "true" : "false")
-         << ", \"placement\": {\"proposals\": " << stats.proposals
-         << ", \"accepts\": " << stats.accepts
-         << ", \"delta_evals\": " << stats.delta_evals
-         << ", \"full_evals\": " << stats.full_evals
-         << ", \"occupancy_probes\": " << stats.occupancy_probes << "}}";
+         << ", \"identical\": " << (same ? "true" : "false")
+         << ", \"placement\": ";
+    write_fields(json, stats);
+    json << "}";
     first = false;
   }
 
@@ -248,7 +228,12 @@ int main(int argc, char** argv) {
        Align::kRight, Align::kRight});
   for (const auto& bench : paper_benchmarks()) {
     const BaselineScenario s = prepare_baseline(bench);
-    const BaselineTiming t = time_baseline(s);
+    const auto t = time_interleaved(
+        [&] { return place_components_baseline(s.alloc, s.schedule, s.chip); },
+        [&] {
+          return place_components_baseline_reference(s.alloc, s.schedule,
+                                                     s.chip);
+        });
     const bool same = same_positions(s.alloc, t.core, t.ref);
     if (!same) {
       all_equal = false;
@@ -273,10 +258,11 @@ int main(int argc, char** argv) {
 
   std::cout << "PLACER CORE: incremental delta-energy SA vs full-recompute "
                "reference\n(best of " << kReps
-            << " runs per placer; results verified identical)\n\n"
+            << " interleaved runs per placer; results verified "
+               "identical)\n\n"
             << table
             << "\nBA PLACER: cached footprints + prefix-summed legality vs "
-               "per-candidate rebuild\n(best of " << kBaselineReps
+               "per-candidate rebuild\n(best of " << kReps
             << " interleaved runs per placer; results verified "
                "identical)\n\n"
             << baseline_table << "\nJSON:\n" << json.str() << "\n";

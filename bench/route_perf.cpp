@@ -160,14 +160,9 @@ int main(int argc, char** argv) {
          << ", \"flat_seconds\": " << num(flat_s)
          << ", \"speedup\": " << num(speedup)
          << ", \"identical\": " << (identical(flat, ref) ? "true" : "false")
-         << ", \"routing\": {\"tasks_routed\": " << flat.stats.tasks_routed
-         << ", \"nodes_expanded\": " << flat.stats.nodes_expanded
-         << ", \"heap_pushes\": " << flat.stats.heap_pushes
-         << ", \"feasibility_rejections\": "
-         << flat.stats.feasibility_rejections
-         << ", \"postponement_steps\": " << flat.stats.postponement_steps
-         << ", \"distance_fields_built\": "
-         << flat.stats.distance_fields_built << "}}";
+         << ", \"routing\": ";
+    write_fields(json, flat.stats);
+    json << "}";
     first = false;
   }
   json << "\n]}";

@@ -149,12 +149,9 @@ int main(int argc, char** argv) {
          << ", \"speedup\": " << num(speedup)
          << ", \"ops_per_second\": " << num(ops_per_s)
          << ", \"identical\": " << (equal ? "true" : "false")
-         << ", \"scheduling\": {\"ops_scheduled\": " << stats.ops_scheduled
-         << ", \"heap_pushes\": " << stats.heap_pushes
-         << ", \"heap_pops\": " << stats.heap_pops
-         << ", \"binding_probes\": " << stats.binding_probes
-         << ", \"case1_bindings\": " << stats.case1_bindings
-         << ", \"case2_bindings\": " << stats.case2_bindings << "}}";
+         << ", \"scheduling\": ";
+    write_fields(json, stats);
+    json << "}";
     first = false;
   }
   json << "\n]}";

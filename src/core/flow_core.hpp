@@ -35,6 +35,7 @@
 #include "route/incremental_router.hpp"
 #include "route/router.hpp"
 #include "schedule/types.hpp"
+#include "util/stats_fields.hpp"
 
 namespace fbmb {
 
@@ -43,37 +44,43 @@ namespace fbmb {
 /// telemetry layer aggregates these across batched jobs. grid_build,
 /// route and retime are summed over the SA candidates' fixpoints, so
 /// when those run in parallel they are thread time, not wall time.
+#define MSYNTH_STAGE_TIMES(X)                                           \
+  X(schedule)   /* binding & list scheduling */                         \
+  X(refine)     /* channel-storage refinement pass */                   \
+  X(place)      /* placement (SA restarts + polish, or BA) */           \
+  X(grid_build) /* RoutingGrid (re)builds and resets */                 \
+  X(route)      /* A* routing rounds (dominant stage) */                \
+  X(retime)     /* folding router postponements into the schedule */
+
 struct StageTimes {
-  double schedule = 0.0;    ///< binding & list scheduling
-  double refine = 0.0;      ///< channel-storage refinement pass
-  double place = 0.0;       ///< placement (SA restarts + polish, or BA)
-  double grid_build = 0.0;  ///< RoutingGrid (re)builds and resets
-  double route = 0.0;       ///< A* routing rounds (dominant stage)
-  double retime = 0.0;      ///< folding router postponements into the schedule
+  MSYNTH_STATS_FIELDS(StageTimes, double, MSYNTH_STAGE_TIMES)
 
   double total() const {
-    return schedule + refine + place + grid_build + route + retime;
+    double sum = 0.0;
+    for_each_field([&](const char*, auto member) { sum += this->*member; });
+    return sum;
   }
 };
 
 /// Reuse counters for the route–retime fixpoint; summed over every
 /// fixpoint a flow runs (one per SA placement candidate). Telemetry-only,
 /// like RouteStats.
+#define MSYNTH_FLOW_STATS(X)                                              \
+  X(rounds)              /* routing rounds executed */                    \
+  X(transports_rerouted) /* tasks that ran the A* pipeline */             \
+  X(transports_reused)   /* tasks replayed without search */              \
+  X(cells_evicted)       /* cell reservations dropped by dirt */
+
 struct FlowStats {
-  std::uint64_t rounds = 0;               ///< routing rounds executed
-  std::uint64_t transports_rerouted = 0;  ///< tasks that ran the A* pipeline
-  std::uint64_t transports_reused = 0;    ///< tasks replayed without search
-  std::uint64_t cells_evicted = 0;  ///< cell reservations dropped by dirt
+  MSYNTH_STATS_FIELDS(FlowStats, std::uint64_t, MSYNTH_FLOW_STATS)
   /// Per-round breakdown, in execution order (concatenated across
-  /// fixpoints). Not threaded through telemetry or the result cache; the
-  /// flow_perf bench reports per-round re-route fractions from it.
+  /// fixpoints). Not in the field list, so not threaded through
+  /// telemetry or the result cache; the flow_perf bench reports per-round
+  /// re-route fractions from it.
   std::vector<FlowRound> round_details;
 
   FlowStats& operator+=(const FlowStats& o) {
-    rounds += o.rounds;
-    transports_rerouted += o.transports_rerouted;
-    transports_reused += o.transports_reused;
-    cells_evicted += o.cells_evicted;
+    accumulate_fields(*this, o);
     round_details.insert(round_details.end(), o.round_details.begin(),
                          o.round_details.end());
     return *this;

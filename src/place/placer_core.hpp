@@ -36,26 +36,25 @@
 #include "place/placement.hpp"
 #include "util/geometry.hpp"
 #include "util/rng.hpp"
+#include "util/stats_fields.hpp"
 
 namespace fbmb {
 
 /// Placement search counters, accumulated across restarts and (in the
 /// runtime engine) across jobs. The reference placer keeps none, mirroring
 /// route_transports_reference.
+#define MSYNTH_PLACE_STATS(X)                                     \
+  X(proposals)        /* SA moves proposed */                     \
+  X(accepts)          /* moves committed (SA + polish) */         \
+  X(delta_evals)      /* incremental energy evaluations */        \
+  X(full_evals)       /* full rebuilds (one per bind) */          \
+  X(occupancy_probes) /* occupancy-grid legality probes */
+
 struct PlaceStats {
-  std::uint64_t proposals = 0;         ///< SA moves proposed
-  std::uint64_t accepts = 0;           ///< moves committed (SA + polish)
-  std::uint64_t delta_evals = 0;       ///< incremental energy evaluations
-  std::uint64_t full_evals = 0;        ///< full rebuilds (one per bind)
-  std::uint64_t occupancy_probes = 0;  ///< occupancy-grid legality probes
+  MSYNTH_STATS_FIELDS(PlaceStats, std::uint64_t, MSYNTH_PLACE_STATS)
 
   PlaceStats& operator+=(const PlaceStats& o) {
-    proposals += o.proposals;
-    accepts += o.accepts;
-    delta_evals += o.delta_evals;
-    full_evals += o.full_evals;
-    occupancy_probes += o.occupancy_probes;
-    return *this;
+    return accumulate_fields(*this, o);
   }
 };
 

@@ -7,33 +7,31 @@
 #include <vector>
 
 #include "util/geometry.hpp"
+#include "util/stats_fields.hpp"
 
 namespace fbmb {
 
 /// Search-effort counters for one routing pass (or, after
 /// route_until_consistent, the sum over its rounds). Telemetry-only: two
 /// RoutingResults are considered equivalent regardless of their stats.
+/// fixpoints_capped counts route–retime fixpoints that hit
+/// RouterOptions::max_fixpoint_rounds with delays still pending (the
+/// result is still consistent: the cap path applies the final retiming
+/// and routes once more to reconcile).
+#define MSYNTH_ROUTE_STATS(X)                                   \
+  X(tasks_routed)           /* transports routed */              \
+  X(nodes_expanded)         /* non-stale A* pops */              \
+  X(heap_pushes)            /* A* open-list insertions */        \
+  X(feasibility_rejections) /* cells priced +inf (Eq. 5) */      \
+  X(postponement_steps)     /* postpone_step increments */       \
+  X(distance_fields_built)  /* heuristic BFS fields built */     \
+  X(fixpoints_capped)       /* fixpoints stopped by the cap */
+
 struct RouteStats {
-  std::uint64_t tasks_routed = 0;           ///< transports routed
-  std::uint64_t nodes_expanded = 0;         ///< non-stale A* pops
-  std::uint64_t heap_pushes = 0;            ///< A* open-list insertions
-  std::uint64_t feasibility_rejections = 0; ///< cells priced +inf (Eq. 5)
-  std::uint64_t postponement_steps = 0;     ///< postpone_step increments
-  std::uint64_t distance_fields_built = 0;  ///< heuristic BFS fields built
-  /// Route–retime fixpoints that hit RouterOptions::max_fixpoint_rounds
-  /// with delays still pending (the result is still consistent: the cap
-  /// path applies the final retiming and routes once more to reconcile).
-  std::uint64_t fixpoints_capped = 0;
+  MSYNTH_STATS_FIELDS(RouteStats, std::uint64_t, MSYNTH_ROUTE_STATS)
 
   RouteStats& operator+=(const RouteStats& o) {
-    tasks_routed += o.tasks_routed;
-    nodes_expanded += o.nodes_expanded;
-    heap_pushes += o.heap_pushes;
-    feasibility_rejections += o.feasibility_rejections;
-    postponement_steps += o.postponement_steps;
-    distance_fields_built += o.distance_fields_built;
-    fixpoints_capped += o.fixpoints_capped;
-    return *this;
+    return accumulate_fields(*this, o);
   }
 };
 

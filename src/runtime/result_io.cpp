@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -280,6 +282,40 @@ const jsonio::Value* get_array(const jsonio::Value& obj, const char* key,
   return v;
 }
 
+/// Reads every listed field of the stats struct `s` from the JSON object
+/// `obj`. A missing or non-numeric key clears `ok`, except `optional_key`
+/// (a field added to the format later), which then keeps its zero. Keys
+/// that are not in the list are ignored. An integer counter outside
+/// [0, 2^64) also clears `ok`: converting it would be undefined.
+template <class S>
+void read_fields(const jsonio::Value& obj, S& s, bool& ok,
+                 std::string_view optional_key = {}) {
+  using T = typename S::value_type;
+  S::for_each_field([&](const char* key, auto member) {
+    const jsonio::Value* v = obj.find(key);
+    if (!v || v->kind != jsonio::Value::Kind::kNumber) {
+      if (key != optional_key) ok = false;
+    } else if (std::is_integral_v<T> &&
+               !(v->num >= 0.0 && v->num < 18446744073709551616.0)) {
+      ok = false;
+    } else {
+      s.*member = static_cast<T>(v->num);
+    }
+  });
+}
+
+/// read_fields on `root[key]`, which may be missing (or not an object) so
+/// spills written before the counters existed still load with them at
+/// zero.
+template <class S>
+void read_optional_fields(const jsonio::Value& root, const char* key, S& s,
+                          bool& ok, std::string_view optional_key = {}) {
+  if (const jsonio::Value* obj = root.find(key);
+      obj && obj->kind == jsonio::Value::Kind::kObject) {
+    read_fields(*obj, s, ok, optional_key);
+  }
+}
+
 void write_fluid(std::ostringstream& os, const Fluid& fluid) {
   os << "{\"name\": " << json_quote(fluid.name)
      << ", \"d\": " << exact(fluid.diffusion_coefficient) << "}";
@@ -405,17 +441,9 @@ bool read_placement(const jsonio::Value& arr, Placement& placement) {
 void write_routing(std::ostringstream& os, const RoutingResult& routing) {
   os << "{\"total_wash_time\": " << exact(routing.total_wash_time)
      << ", \"conflict_postponements\": " << routing.conflict_postponements
-     << ", \"route_stats\": {\"tasks_routed\": "
-     << routing.stats.tasks_routed
-     << ", \"nodes_expanded\": " << routing.stats.nodes_expanded
-     << ", \"heap_pushes\": " << routing.stats.heap_pushes
-     << ", \"feasibility_rejections\": "
-     << routing.stats.feasibility_rejections
-     << ", \"postponement_steps\": " << routing.stats.postponement_steps
-     << ", \"distance_fields_built\": "
-     << routing.stats.distance_fields_built
-     << ", \"fixpoints_capped\": " << routing.stats.fixpoints_capped
-     << "}, \"delays\": [";
+     << ", \"route_stats\": ";
+  write_fields(os, routing.stats);
+  os << ", \"delays\": [";
   for (std::size_t i = 0; i < routing.delays.size(); ++i) {
     os << (i ? "," : "") << exact(routing.delays[i]);
   }
@@ -443,28 +471,10 @@ bool read_routing(const jsonio::Value& obj, RoutingResult& routing) {
   bool ok = true;
   routing.total_wash_time = get_num(obj, "total_wash_time", ok);
   routing.conflict_postponements = get_int(obj, "conflict_postponements", ok);
-  // route_stats is optional so spills written before the counters existed
-  // still load (all counters default to zero).
-  if (const jsonio::Value* rs = obj.find("route_stats");
-      rs && rs->kind == jsonio::Value::Kind::kObject) {
-    auto u64 = [&](const char* key) {
-      return static_cast<std::uint64_t>(get_num(*rs, key, ok));
-    };
-    routing.stats.tasks_routed = u64("tasks_routed");
-    routing.stats.nodes_expanded = u64("nodes_expanded");
-    routing.stats.heap_pushes = u64("heap_pushes");
-    routing.stats.feasibility_rejections = u64("feasibility_rejections");
-    routing.stats.postponement_steps = u64("postponement_steps");
-    routing.stats.distance_fields_built = u64("distance_fields_built");
-    // fixpoints_capped was added to route_stats later; a local flag keeps
-    // spills written before it (which have the object but not the key)
-    // loading with the counter at zero.
-    bool have_capped = true;
-    const double capped = get_num(*rs, "fixpoints_capped", have_capped);
-    if (have_capped) {
-      routing.stats.fixpoints_capped = static_cast<std::uint64_t>(capped);
-    }
-  }
+  // fixpoints_capped was added to route_stats later: spills written
+  // before it have the object but not the key.
+  read_optional_fields(obj, "route_stats", routing.stats, ok,
+                       "fixpoints_capped");
   const jsonio::Value* delays = get_array(obj, "delays", ok);
   const jsonio::Value* paths = get_array(obj, "paths", ok);
   if (!ok) return false;
@@ -509,14 +519,9 @@ std::string synthesis_result_to_json(const SynthesisResult& result) {
      << ", \"total_cache_time\": " << exact(result.total_cache_time)
      << ", \"channel_wash_time\": " << exact(result.channel_wash_time)
      << ", \"cpu_seconds\": " << exact(result.cpu_seconds)
-     << ", \"stage_seconds\": {\"schedule\": "
-     << exact(result.stage_seconds.schedule)
-     << ", \"refine\": " << exact(result.stage_seconds.refine)
-     << ", \"place\": " << exact(result.stage_seconds.place)
-     << ", \"grid_build\": " << exact(result.stage_seconds.grid_build)
-     << ", \"route\": " << exact(result.stage_seconds.route)
-     << ", \"retime\": " << exact(result.stage_seconds.retime)
-     << "}, \"stats\": {\"completion_time\": "
+     << ", \"stage_seconds\": ";
+  write_fields(os, result.stage_seconds, exact);
+  os << ", \"stats\": {\"completion_time\": "
      << exact(result.stats.completion_time)
      << ", \"utilization\": " << exact(result.stats.utilization)
      << ", \"total_cache_time\": " << exact(result.stats.total_cache_time)
@@ -537,27 +542,16 @@ std::string synthesis_result_to_json(const SynthesisResult& result) {
   write_schedule(os, result.schedule);
   os << ", \"placement\": ";
   write_placement(os, result.placement);
-  os << ", \"place_stats\": {\"proposals\": " << result.place_stats.proposals
-     << ", \"accepts\": " << result.place_stats.accepts
-     << ", \"delta_evals\": " << result.place_stats.delta_evals
-     << ", \"full_evals\": " << result.place_stats.full_evals
-     << ", \"occupancy_probes\": " << result.place_stats.occupancy_probes
-     << "}, \"sched_stats\": {\"ops_scheduled\": "
-     << result.sched_stats.ops_scheduled
-     << ", \"heap_pushes\": " << result.sched_stats.heap_pushes
-     << ", \"heap_pops\": " << result.sched_stats.heap_pops
-     << ", \"binding_probes\": " << result.sched_stats.binding_probes
-     << ", \"case1_bindings\": " << result.sched_stats.case1_bindings
-     << ", \"case2_bindings\": " << result.sched_stats.case2_bindings
-     // Only the aggregate fixpoint counters are spilled; per-round
-     // details (FlowStats::round_details) are per-job telemetry and are
-     // not worth the cache bytes.
-     << "}, \"flow_stats\": {\"rounds\": " << result.flow_stats.rounds
-     << ", \"transports_rerouted\": "
-     << result.flow_stats.transports_rerouted
-     << ", \"transports_reused\": " << result.flow_stats.transports_reused
-     << ", \"cells_evicted\": " << result.flow_stats.cells_evicted
-     << "}, \"routing\": ";
+  os << ", \"place_stats\": ";
+  write_fields(os, result.place_stats);
+  os << ", \"sched_stats\": ";
+  write_fields(os, result.sched_stats);
+  // Only the listed fixpoint counters are spilled; per-round details
+  // (FlowStats::round_details) are per-job telemetry and are not worth
+  // the cache bytes.
+  os << ", \"flow_stats\": ";
+  write_fields(os, result.flow_stats);
+  os << ", \"routing\": ";
   write_routing(os, result.routing);
   os << "}";
   return os.str();
@@ -585,16 +579,9 @@ std::optional<SynthesisResult> synthesis_result_from_value(
   result.cpu_seconds = get_num(root, "cpu_seconds", ok);
   const jsonio::Value* stages = root.find("stage_seconds");
   if (!stages) return std::nullopt;
-  result.stage_seconds.schedule = get_num(*stages, "schedule", ok);
-  result.stage_seconds.refine = get_num(*stages, "refine", ok);
-  result.stage_seconds.place = get_num(*stages, "place", ok);
-  result.stage_seconds.route = get_num(*stages, "route", ok);
-  result.stage_seconds.retime = get_num(*stages, "retime", ok);
-  // grid_build was split out of the route span later; a local flag keeps
-  // spills written before the split loading with the stage at zero.
-  bool have_grid_build = true;
-  const double grid_build = get_num(*stages, "grid_build", have_grid_build);
-  if (have_grid_build) result.stage_seconds.grid_build = grid_build;
+  // grid_build was split out of the route span later: spills written
+  // before the split load with the stage at zero.
+  read_fields(*stages, result.stage_seconds, ok, "grid_build");
   const jsonio::Value* stats = root.find("stats");
   if (!stats) return std::nullopt;
   result.stats.completion_time = get_num(*stats, "completion_time", ok);
@@ -616,47 +603,11 @@ std::optional<SynthesisResult> synthesis_result_from_value(
   result.chip.component_spacing = get_int(*chip, "component_spacing", ok);
   result.chip.cache_segment_cells =
       get_int(*chip, "cache_segment_cells", ok);
-  // place_stats is optional so spills written before the placement
-  // counters existed still load (all counters default to zero).
-  if (const jsonio::Value* ps = root.find("place_stats");
-      ps && ps->kind == jsonio::Value::Kind::kObject) {
-    auto u64 = [&](const char* key) {
-      return static_cast<std::uint64_t>(get_num(*ps, key, ok));
-    };
-    result.place_stats.proposals = u64("proposals");
-    result.place_stats.accepts = u64("accepts");
-    result.place_stats.delta_evals = u64("delta_evals");
-    result.place_stats.full_evals = u64("full_evals");
-    result.place_stats.occupancy_probes = u64("occupancy_probes");
-  }
-  // sched_stats is likewise optional for spills written before the
-  // scheduler counters existed.
-  if (const jsonio::Value* ss = root.find("sched_stats");
-      ss && ss->kind == jsonio::Value::Kind::kObject) {
-    auto u64 = [&](const char* key) {
-      return static_cast<std::uint64_t>(get_num(*ss, key, ok));
-    };
-    result.sched_stats.ops_scheduled = u64("ops_scheduled");
-    result.sched_stats.heap_pushes = u64("heap_pushes");
-    result.sched_stats.heap_pops = u64("heap_pops");
-    result.sched_stats.binding_probes = u64("binding_probes");
-    result.sched_stats.case1_bindings = u64("case1_bindings");
-    result.sched_stats.case2_bindings = u64("case2_bindings");
-  }
-  // flow_stats is likewise optional for spills written before the
-  // incremental fixpoint existed (counters default to zero; per-round
-  // details are never spilled). Keys this reader does not know — such as
-  // the spec_* routing counters older spills carry — are ignored.
-  if (const jsonio::Value* fs = root.find("flow_stats");
-      fs && fs->kind == jsonio::Value::Kind::kObject) {
-    auto u64 = [&](const char* key) {
-      return static_cast<std::uint64_t>(get_num(*fs, key, ok));
-    };
-    result.flow_stats.rounds = u64("rounds");
-    result.flow_stats.transports_rerouted = u64("transports_rerouted");
-    result.flow_stats.transports_reused = u64("transports_reused");
-    result.flow_stats.cells_evicted = u64("cells_evicted");
-  }
+  // Keys this reader does not know, such as the spec_* routing counters
+  // older spills carry, are ignored.
+  read_optional_fields(root, "place_stats", result.place_stats, ok);
+  read_optional_fields(root, "sched_stats", result.sched_stats, ok);
+  read_optional_fields(root, "flow_stats", result.flow_stats, ok);
   const jsonio::Value* schedule = root.find("schedule");
   const jsonio::Value* placement = root.find("placement");
   const jsonio::Value* routing = root.find("routing");

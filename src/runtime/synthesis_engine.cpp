@@ -202,57 +202,23 @@ std::string SynthesisEngine::telemetry_json(
      << ",\n  \"jobs\": [";
   bool first = true;
   for (const JobOutcome& outcome : outcomes) {
-    const StageTimes& st = outcome.result.stage_seconds;
+    const SynthesisResult& r = outcome.result;
     os << (first ? "" : ",") << "\n    {\"name\": "
        << json_quote(outcome.name) << ", \"fingerprint\": \""
        << outcome.fingerprint.to_hex() << "\", \"cache_hit\": "
        << (outcome.cache_hit ? "true" : "false")
        << ", \"wall_seconds\": " << number(outcome.wall_seconds)
-       << ", \"stages\": {\"schedule\": " << number(st.schedule)
-       << ", \"refine\": " << number(st.refine)
-       << ", \"place\": " << number(st.place)
-       << ", \"grid_build\": " << number(st.grid_build)
-       << ", \"route\": " << number(st.route)
-       << ", \"retime\": " << number(st.retime) << "}"
-       << ", \"routing\": {\"tasks_routed\": "
-       << outcome.result.routing.stats.tasks_routed
-       << ", \"nodes_expanded\": "
-       << outcome.result.routing.stats.nodes_expanded
-       << ", \"heap_pushes\": " << outcome.result.routing.stats.heap_pushes
-       << ", \"feasibility_rejections\": "
-       << outcome.result.routing.stats.feasibility_rejections
-       << ", \"postponement_steps\": "
-       << outcome.result.routing.stats.postponement_steps
-       << ", \"distance_fields_built\": "
-       << outcome.result.routing.stats.distance_fields_built
-       << ", \"fixpoints_capped\": "
-       << outcome.result.routing.stats.fixpoints_capped << "}"
-       << ", \"flow\": {\"rounds\": " << outcome.result.flow_stats.rounds
-       << ", \"transports_rerouted\": "
-       << outcome.result.flow_stats.transports_rerouted
-       << ", \"transports_reused\": "
-       << outcome.result.flow_stats.transports_reused
-       << ", \"cells_evicted\": "
-       << outcome.result.flow_stats.cells_evicted << "}"
-       << ", \"placement\": {\"proposals\": "
-       << outcome.result.place_stats.proposals
-       << ", \"accepts\": " << outcome.result.place_stats.accepts
-       << ", \"delta_evals\": " << outcome.result.place_stats.delta_evals
-       << ", \"full_evals\": " << outcome.result.place_stats.full_evals
-       << ", \"occupancy_probes\": "
-       << outcome.result.place_stats.occupancy_probes << "}"
-       << ", \"scheduling\": {\"ops_scheduled\": "
-       << outcome.result.sched_stats.ops_scheduled
-       << ", \"heap_pushes\": " << outcome.result.sched_stats.heap_pushes
-       << ", \"heap_pops\": " << outcome.result.sched_stats.heap_pops
-       << ", \"binding_probes\": "
-       << outcome.result.sched_stats.binding_probes
-       << ", \"case1_bindings\": "
-       << outcome.result.sched_stats.case1_bindings
-       << ", \"case2_bindings\": "
-       << outcome.result.sched_stats.case2_bindings << "}"
-       << ", \"completion_time\": "
-       << number(outcome.result.completion_time) << "}";
+       << ", \"stages\": ";
+    write_fields(os, r.stage_seconds, number);
+    os << ", \"routing\": ";
+    write_fields(os, r.routing.stats);
+    os << ", \"flow\": ";
+    write_fields(os, r.flow_stats);
+    os << ", \"placement\": ";
+    write_fields(os, r.place_stats);
+    os << ", \"scheduling\": ";
+    write_fields(os, r.sched_stats);
+    os << ", \"completion_time\": " << number(r.completion_time) << "}";
     first = false;
   }
   os << "\n  ]\n}";

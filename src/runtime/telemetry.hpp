@@ -8,15 +8,22 @@
 // for reporting (individual counters are exact; cross-counter skew is
 // bounded by whatever is still in flight).
 //
+// The per-struct counters (StageTimes and the route, flow, place and
+// scheduler stats) are held as AtomicFields generated from each struct's
+// field list (util/stats_fields.hpp), so a counter added to a list is
+// recorded, snapshotted, reset and reported with no edit here.
+//
 // ScopedStageTimer is the lightweight span primitive: it measures the
 // lifetime of a scope and adds it to a double, e.g. a StageTimes field.
 
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "core/synthesis.hpp"
 #include "route/types.hpp"
@@ -39,6 +46,47 @@ class ScopedStageTimer {
  private:
   double& sink_;
   std::chrono::steady_clock::time_point start_;
+};
+
+/// sink += value. fetch_add on atomic<double> is C++20; a CAS loop keeps
+/// the TU building with libstdc++ configurations that lack the FP overload.
+template <class T>
+void atomic_add(std::atomic<T>& sink, T value) {
+  if constexpr (std::is_floating_point_v<T>) {
+    T current = sink.load(std::memory_order_relaxed);
+    while (!sink.compare_exchange_weak(current, current + value)) {
+    }
+  } else {
+    sink.fetch_add(value);
+  }
+}
+
+/// One atomic per listed field of the stats struct S, in list order.
+template <class S>
+class AtomicFields {
+ public:
+  /// Folds `stats` into the aggregate.
+  void add(const S& stats) {
+    std::size_t i = 0;
+    S::for_each_field([&](const char*, auto member) {
+      atomic_add(cells_[i++], stats.*member);
+    });
+  }
+
+  S load() const {
+    S stats;
+    std::size_t i = 0;
+    S::for_each_field(
+        [&](const char*, auto member) { stats.*member = cells_[i++].load(); });
+    return stats;
+  }
+
+  void reset() {
+    for (auto& cell : cells_) cell.store(0);
+  }
+
+ private:
+  std::array<std::atomic<typename S::value_type>, field_count<S>()> cells_{};
 };
 
 class Telemetry {
@@ -76,24 +124,17 @@ class Telemetry {
     jobs_completed_.fetch_add(1);
   }
 
-  /// Folds one completed job's stage breakdown into the aggregate.
-  void record_stage_times(const StageTimes& stages);
-
-  /// Folds one completed job's router counters into the aggregate.
-  void record_route_stats(const RouteStats& stats);
-
-  /// Folds one completed job's route–retime fixpoint reuse counters into
-  /// the aggregate (rounds, re-routed / replayed transports, evictions).
-  void record_flow_stats(const FlowStats& stats);
-
-  /// Folds one completed job's placer counters into the aggregate.
-  void record_place_stats(const PlaceStats& stats);
-
-  /// Folds one completed job's scheduler counters into the aggregate.
-  void record_sched_stats(const SchedStats& stats);
+  /// Fold one completed job's stage breakdown or search counters into the
+  /// aggregate. FlowStats contributes only its listed counters; per-round
+  /// details stay per-job.
+  void record_stage_times(const StageTimes& stages) { stages_.add(stages); }
+  void record_route_stats(const RouteStats& stats) { routing_.add(stats); }
+  void record_flow_stats(const FlowStats& stats) { flow_.add(stats); }
+  void record_place_stats(const PlaceStats& stats) { placement_.add(stats); }
+  void record_sched_stats(const SchedStats& stats) { scheduling_.add(stats); }
 
   void record_synthesis_seconds(double seconds) {
-    add(synthesis_seconds_, seconds);
+    atomic_add(synthesis_seconds_, seconds);
   }
 
   void record_queue_depth(std::uint64_t depth);
@@ -107,20 +148,11 @@ class Telemetry {
   static std::string to_json(const Snapshot& snapshot);
 
  private:
-  static void add(std::atomic<double>& sink, double value) {
-    // fetch_add on atomic<double> is C++20; keep a CAS loop so the TU also
-    // builds with libstdc++ configurations that lack the FP overload.
-    double current = sink.load(std::memory_order_relaxed);
-    while (!sink.compare_exchange_weak(current, current + value)) {
-    }
-  }
-
-  std::atomic<double> stage_schedule_{0.0};
-  std::atomic<double> stage_refine_{0.0};
-  std::atomic<double> stage_place_{0.0};
-  std::atomic<double> stage_grid_build_{0.0};
-  std::atomic<double> stage_route_{0.0};
-  std::atomic<double> stage_retime_{0.0};
+  AtomicFields<StageTimes> stages_;
+  AtomicFields<RouteStats> routing_;
+  AtomicFields<FlowStats> flow_;
+  AtomicFields<PlaceStats> placement_;
+  AtomicFields<SchedStats> scheduling_;
   std::atomic<double> synthesis_seconds_{0.0};
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> cache_misses_{0};
@@ -129,28 +161,6 @@ class Telemetry {
   std::atomic<std::uint64_t> jobs_cancelled_{0};
   std::atomic<std::uint64_t> jobs_in_flight_{0};
   std::atomic<std::uint64_t> max_queue_depth_{0};
-  std::atomic<std::uint64_t> route_tasks_routed_{0};
-  std::atomic<std::uint64_t> route_nodes_expanded_{0};
-  std::atomic<std::uint64_t> route_heap_pushes_{0};
-  std::atomic<std::uint64_t> route_feasibility_rejections_{0};
-  std::atomic<std::uint64_t> route_postponement_steps_{0};
-  std::atomic<std::uint64_t> route_distance_fields_built_{0};
-  std::atomic<std::uint64_t> route_fixpoints_capped_{0};
-  std::atomic<std::uint64_t> flow_rounds_{0};
-  std::atomic<std::uint64_t> flow_transports_rerouted_{0};
-  std::atomic<std::uint64_t> flow_transports_reused_{0};
-  std::atomic<std::uint64_t> flow_cells_evicted_{0};
-  std::atomic<std::uint64_t> place_proposals_{0};
-  std::atomic<std::uint64_t> place_accepts_{0};
-  std::atomic<std::uint64_t> place_delta_evals_{0};
-  std::atomic<std::uint64_t> place_full_evals_{0};
-  std::atomic<std::uint64_t> place_occupancy_probes_{0};
-  std::atomic<std::uint64_t> sched_ops_scheduled_{0};
-  std::atomic<std::uint64_t> sched_heap_pushes_{0};
-  std::atomic<std::uint64_t> sched_heap_pops_{0};
-  std::atomic<std::uint64_t> sched_binding_probes_{0};
-  std::atomic<std::uint64_t> sched_case1_bindings_{0};
-  std::atomic<std::uint64_t> sched_case2_bindings_{0};
 };
 
 }  // namespace fbmb

@@ -45,27 +45,25 @@
 #include "graph/sequencing_graph.hpp"
 #include "schedule/list_scheduler.hpp"
 #include "schedule/types.hpp"
+#include "util/stats_fields.hpp"
 
 namespace fbmb {
 
 /// Search-effort counters for one scheduling pass. Telemetry-only: two
 /// Schedules are considered equivalent regardless of their stats.
+#define MSYNTH_SCHED_STATS(X)                                        \
+  X(ops_scheduled)  /* operations bound & timed */                   \
+  X(heap_pushes)    /* ready-heap insertions */                      \
+  X(heap_pops)      /* ready-heap removals */                        \
+  X(binding_probes) /* per-component availability probes */          \
+  X(case1_bindings) /* Case I in-place bindings */                   \
+  X(case2_bindings) /* Case II / BA earliest-ready picks */
+
 struct SchedStats {
-  std::uint64_t ops_scheduled = 0;   ///< operations bound & timed
-  std::uint64_t heap_pushes = 0;     ///< ready-heap insertions
-  std::uint64_t heap_pops = 0;       ///< ready-heap removals
-  std::uint64_t binding_probes = 0;  ///< per-component availability probes
-  std::uint64_t case1_bindings = 0;  ///< Case I in-place bindings
-  std::uint64_t case2_bindings = 0;  ///< Case II / BA earliest-ready picks
+  MSYNTH_STATS_FIELDS(SchedStats, std::uint64_t, MSYNTH_SCHED_STATS)
 
   SchedStats& operator+=(const SchedStats& o) {
-    ops_scheduled += o.ops_scheduled;
-    heap_pushes += o.heap_pushes;
-    heap_pops += o.heap_pops;
-    binding_probes += o.binding_probes;
-    case1_bindings += o.case1_bindings;
-    case2_bindings += o.case2_bindings;
-    return *this;
+    return accumulate_fields(*this, o);
   }
 };
 

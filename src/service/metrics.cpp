@@ -98,6 +98,10 @@ void ServiceMetrics::count_response(int status) {
 
 std::string ServiceMetrics::to_json(std::uint64_t queue_depth,
                                     bool draining) const {
+  // One snapshot for both places it is printed, so the legacy "latency"
+  // alias and "endpoints.synthesize" always agree.
+  const std::string synthesize =
+      LatencyHistogram::to_json(synthesize_latency.snapshot());
   std::ostringstream os;
   os << "{\"connections\": {\"accepted\": " << connections_accepted.load()
      << ", \"rejected\": " << connections_rejected.load()
@@ -112,10 +116,8 @@ std::string ServiceMetrics::to_json(std::uint64_t queue_depth,
      << ", \"error\": " << responses_error.load()
      << ", \"cancelled\": " << responses_cancelled.load()
      << ", \"timed_out\": " << responses_timed_out.load()
-     << "}, \"latency\": "
-     << LatencyHistogram::to_json(synthesize_latency.snapshot())
-     << ", \"endpoints\": {\"synthesize\": "
-     << LatencyHistogram::to_json(synthesize_latency.snapshot())
+     << "}, \"latency\": " << synthesize
+     << ", \"endpoints\": {\"synthesize\": " << synthesize
      << ", \"healthz\": " << LatencyHistogram::to_json(healthz_latency.snapshot())
      << ", \"metrics\": " << LatencyHistogram::to_json(metrics_latency.snapshot())
      << ", \"trace\": " << LatencyHistogram::to_json(trace_latency.snapshot())

@@ -118,6 +118,25 @@ TEST(ResultIoNegative, RejectsSchemaViolations) {
   }
 }
 
+TEST(ResultIoNegative, OutOfRangeCounterIsRejected) {
+  // A counter a uint64 cannot hold would be undefined to convert, so a
+  // spill carrying one is rejected like any other schema violation.
+  Benchmark pcr = make_pcr();
+  const std::string json = synthesis_result_to_json(
+      synthesize_dcsa(pcr.graph, Allocation(pcr.allocation), pcr.wash));
+  const std::string key = "\"heap_pops\": ";
+  const std::size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t value_at = at + key.size();
+  const std::size_t value_end = json.find_first_of(",}", value_at);
+  ASSERT_TRUE(synthesis_result_from_json(json).has_value());
+  for (const char* bad : {"-1", "-0.5", "1e30", "18446744073709551616"}) {
+    std::string corrupted = json;
+    corrupted.replace(value_at, value_end - value_at, bad);
+    EXPECT_FALSE(synthesis_result_from_json(corrupted).has_value()) << bad;
+  }
+}
+
 TEST(ResultIoNegative, CorruptedFieldInsideValidDocumentIsRejected) {
   Benchmark pcr = make_pcr();
   const SynthesisResult result =

@@ -458,7 +458,8 @@ TEST(SynthServer, InlineTraceCarriesStagesRoundsAndOneId) {
 }
 
 /// /metrics carries per-endpoint latency histograms for every endpoint
-/// the server exposes (plus the legacy top-level "latency" alias).
+/// the server exposes (plus the legacy top-level "latency" alias, which
+/// prints the same snapshot as "endpoints.synthesize").
 TEST(SynthServer, MetricsReportsPerEndpointHistograms) {
   SynthServer server(test_options());
   server.start();
@@ -476,17 +477,26 @@ TEST(SynthServer, MetricsReportsPerEndpointHistograms) {
   ASSERT_TRUE(root.has_value());
   const jsonio::Value* service = root->find("service");
   ASSERT_NE(service, nullptr);
-  EXPECT_NE(service->find("latency"), nullptr);
+  const jsonio::Value* latency = service->find("latency");
+  ASSERT_NE(latency, nullptr);
   const jsonio::Value* endpoints = service->find("endpoints");
   ASSERT_NE(endpoints, nullptr);
+  const char* const fields[] = {"count",  "mean_ms", "p50_ms",
+                                "p90_ms", "p99_ms",  "max_ms"};
   for (const char* name : {"synthesize", "healthz", "metrics", "trace"}) {
     const jsonio::Value* ep = endpoints->find(name);
     ASSERT_NE(ep, nullptr) << name;
-    for (const char* field :
-         {"count", "mean_ms", "p50_ms", "p90_ms", "p99_ms", "max_ms"}) {
+    for (const char* field : fields) {
       ASSERT_NE(ep->find(field), nullptr) << name << "." << field;
     }
     EXPECT_GE(ep->find("count")->num, 1.0) << name;
+  }
+  const jsonio::Value* synthesize = endpoints->find("synthesize");
+  ASSERT_EQ(latency->object.size(), synthesize->object.size());
+  for (const char* field : fields) {
+    ASSERT_NE(latency->find(field), nullptr) << field;
+    EXPECT_EQ(latency->find(field)->num, synthesize->find(field)->num)
+        << field;
   }
 }
 
